@@ -98,14 +98,17 @@ def jacobi_eigvals_compiled(a, tol, max_sweeps):
                     continue
                 app = a[p, p]
                 aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                # asymptotic tangent for huge tau: avoids tau**2 overflow
-                if abs(tau) > 1e12:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                diff = aqq - app
+                # asymptotic tangent 1/(2*tau) when |tau| > 1e12, chosen
+                # before dividing by apq: a tiny apq would overflow tau
+                if abs(diff) > 2e12 * abs(apq):
+                    t = apq / diff
                 else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    tau = diff / (2.0 * apq)
+                    if tau >= 0.0:
+                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                    else:
+                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 for i in range(n):
@@ -141,13 +144,17 @@ def jacobi_eigvals_numpy(a, tol, max_sweeps):
                     continue
                 app = a[p, p]
                 aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if abs(tau) > 1e12:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                diff = aqq - app
+                # asymptotic tangent 1/(2*tau) when |tau| > 1e12, chosen
+                # before dividing by apq: a tiny apq would overflow tau
+                if abs(diff) > 2e12 * abs(apq):
+                    t = apq / diff
                 else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    tau = diff / (2.0 * apq)
+                    if tau >= 0.0:
+                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                    else:
+                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 col_p = a[:, p].copy()

@@ -22,6 +22,22 @@ embedded as the real symmetric ``[[X, -Y], [Y, X]]``, whose spectrum is
 that of ``H`` with every eigenvalue doubled; sorting and taking every
 second entry undoes the doubling (degenerate levels of ``H`` stay
 degenerate under the embedding, so the pairing survives ties).
+
+:func:`flux_sweep` avoids the dense matrix whenever the on-site energies
+are constant along each wire (``epsilon`` is None or all its rows are
+equal).  Every bond, twist bonds included, then commutes with the shift
+``n -> n+1`` on all wires at once, so the Hamiltonian splits by Bloch
+momentum ``k = pi*q/N``, ``q = 0..2N-1``.  Let ``T_s`` be the ``M x M``
+wire chain with ``-t2`` on its off-diagonals, the wire energies on its
+diagonal and, on a Moebius strip, ``-t2*(-1)**s`` added to the outer-wire
+(``m = M``) entry (a twist bond spans half the ring, ``e^{ikN} = (-1)**q``).
+The spectrum at flux ``phi`` is then
+
+    { -2*t1*cos(pi*q/N - 2*pi*phi/N) + lambda_j(T_{q mod 2}) }.
+
+A whole sweep costs two ``M x M`` eigenproblems (one on a cylinder, where
+``T_0 = T_1``) plus one band add per flux point.  Wire-varying ``epsilon``
+breaks the symmetry and takes the dense path.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import jacobi_eigvals
-from .lattice import EdgeKind, MoebiusLattice
+from .lattice import EdgeKind, MoebiusLattice, Topology
 
 # convergence contract of the Jacobi solver: absolute off-diagonal
 # Frobenius norm OFF_DIAG_TOL, hard sweep cap MAX_SWEEPS
@@ -54,25 +70,35 @@ class HoppingParams:
     epsilon: np.ndarray | None = None
 
 
-def assemble(lattice: MoebiusLattice, params: HoppingParams) -> np.ndarray:
-    """Dense complex128 Hamiltonian of shape (2NM, 2NM)."""
+def _validated_epsilon(
+    lattice: MoebiusLattice, params: HoppingParams
+) -> np.ndarray | None:
+    """Check ``t1``, ``t2``, ``phi`` and ``epsilon``; return ``epsilon`` as float64."""
     for name in ("t1", "t2", "phi"):
         value = float(getattr(params, name))
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if params.epsilon is None:
+        return None
+    eps = np.asarray(params.epsilon, dtype=np.float64)
+    if eps.shape != (2 * lattice.N, lattice.M):
+        raise ValueError(
+            f"epsilon must have shape {(2 * lattice.N, lattice.M)}, "
+            f"got {eps.shape}"
+        )
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("epsilon must be finite")
+    return eps
+
+
+def assemble(lattice: MoebiusLattice, params: HoppingParams) -> np.ndarray:
+    """Dense complex128 Hamiltonian of shape (2NM, 2NM)."""
+    eps = _validated_epsilon(lattice, params)
 
     d = lattice.n_sites
     h = np.zeros((d, d), dtype=np.complex128)
 
-    if params.epsilon is not None:
-        eps = np.asarray(params.epsilon, dtype=np.float64)
-        if eps.shape != (2 * lattice.N, lattice.M):
-            raise ValueError(
-                f"epsilon must have shape {(2 * lattice.N, lattice.M)}, "
-                f"got {eps.shape}"
-            )
-        if not np.all(np.isfinite(eps)):
-            raise ValueError("epsilon must be finite")
+    if eps is not None:
         for index in range(d):
             site = lattice.site_at(index)
             h[index, index] = eps[site.n - 1, site.m - 1]
@@ -96,14 +122,17 @@ def eigenvalues(
 ) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Rejects non-square and non-Hermitian input (tolerance ``1e-12``
-    relative to the largest entry).  Real symmetric input is solved
-    directly; complex input goes through the doubling embedding described
-    in the module docstring.
+    Rejects non-square, non-finite and non-Hermitian input (tolerance
+    ``1e-12`` relative to the largest entry).  Real symmetric input is
+    solved directly; complex input goes through the doubling embedding
+    described in the module docstring.  Raises ValueError if Jacobi stops
+    at ``max_sweeps`` with an off-diagonal norm still above ``tol``.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
     scale = float(np.abs(h).max())
     defect = float(np.abs(h - h.conj().T).max())
     if defect > 1e-12 * max(1.0, scale):
@@ -119,6 +148,14 @@ def eigenvalues(
         doubled = False
 
     w = jacobi_eigvals(a, tol, max_sweeps)
+    # Jacobi leaves its rotated work array in ``a``
+    off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+    if off > tol:
+        raise ValueError(
+            f"Jacobi did not converge on a {a.shape[0]}x{a.shape[0]} matrix "
+            f"within max_sweeps={max_sweeps}: off-diagonal norm {off:.3e} "
+            f"> tol {tol:.3e}"
+        )
     w.sort()
     return w[::2] if doubled else w
 
@@ -137,6 +174,25 @@ def total_energy(eigenvalues_: np.ndarray, n_electrons: int) -> float:
     return float(np.sort(w)[: int(n_electrons)].sum())
 
 
+def _wire_chain_levels(
+    lattice: MoebiusLattice, params: HoppingParams, wire: np.ndarray
+) -> np.ndarray:
+    """Levels of ``T_0`` and ``T_1`` (module docstring), one row each.
+
+    ``wire`` holds the on-site energy of each wire.  A cylinder has no
+    twist term, so its single row serves every momentum.
+    """
+    t2 = float(params.t2)
+    chain = np.diag(wire) - t2 * (np.eye(lattice.M, k=1) + np.eye(lattice.M, k=-1))
+    twists = (-t2, t2) if lattice.topology is Topology.MOEBIUS else (0.0,)
+    levels = []
+    for twist in twists:
+        twisted = chain.copy()
+        twisted[-1, -1] += twist
+        levels.append(eigenvalues(twisted))
+    return np.stack(levels)
+
+
 def flux_sweep(
     lattice: MoebiusLattice,
     params: HoppingParams,
@@ -147,17 +203,34 @@ def flux_sweep(
 
     Returns an array of shape ``(len(phis), 2)`` with columns
     ``(phi, total_energy)``.
+
+    When ``params.epsilon`` is None or equal in every row (constant along
+    each wire) the sweep takes the Bloch path of the module docstring:
+    two ``M x M`` Jacobi solves for the whole sweep, then one band add per
+    flux point.  Otherwise every flux point assembles and solves the
+    dense ``2NM x 2NM`` Hamiltonian.
     """
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("flux grid must be nonempty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("flux grid must be finite")
+    eps = _validated_epsilon(lattice, params)
 
     out = np.empty((grid.size, 2), dtype=np.float64)
-    for row, phi in enumerate(grid):
-        h = assemble(lattice, replace(params, phi=float(phi)))
-        w = eigenvalues(h)
-        out[row, 0] = phi
-        out[row, 1] = total_energy(w, n_electrons)
+    out[:, 0] = grid
+    if eps is None or np.all(eps == eps[0]):
+        wire = np.zeros(lattice.M) if eps is None else eps[0]
+        chains = _wire_chain_levels(lattice, params, wire)
+        q = np.arange(2 * lattice.N)
+        chain_of_q = chains[q % len(chains)]
+        k = np.pi * q / lattice.N
+        for row, phi in enumerate(grid):
+            band = -2.0 * params.t1 * np.cos(k - 2.0 * np.pi * phi / lattice.N)
+            levels = band[:, None] + chain_of_q
+            out[row, 1] = total_energy(levels.ravel(), n_electrons)
+    else:
+        for row, phi in enumerate(grid):
+            h = assemble(lattice, replace(params, phi=float(phi)))
+            out[row, 1] = total_energy(eigenvalues(h), n_electrons)
     return out

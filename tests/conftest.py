@@ -8,10 +8,21 @@ match bit for bit), bisection for first-order-condition roots, and
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from moebius_csr.decision import CsrScenario
+
+# Child interpreters started by the tests (``python -m moebius_csr`` and the
+# fresh-import checks) import the same source tree as this process, which
+# ``pythonpath`` in pyproject.toml puts on sys.path.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    part for part in (_SRC, os.environ.get("PYTHONPATH")) if part
+)
 
 
 @pytest.fixture

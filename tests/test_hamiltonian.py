@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,3 +228,128 @@ def test_flux_sweep_t2_zero_is_m_times_single_wire():
     one_m = flux_sweep(single, params, grid, 2)
     many_m = flux_sweep(triple, params, grid, 6)
     assert np.allclose(many_m[:, 1], 3.0 * one_m[:, 1], atol=1e-8)
+
+
+def _lapack_sweep(lat, params, grid, n_electrons):
+    return np.array([
+        np.linalg.eigvalsh(assemble(lat, replace(params, phi=float(phi))))[
+            :n_electrons
+        ].sum()
+        for phi in grid
+    ])
+
+
+# flux values inside the first period, at its edge, and past one period
+BLOCH_GRID = (0.0, 0.37, 1.0, 2.9, -1.3, 7.45)
+
+
+@pytest.mark.parametrize("build", [build_moebius, build_cylinder])
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_bloch_sweep_matches_lapack_at_every_filling(build, N, M):
+    lat = build(N, M)
+    params = HoppingParams(t1=1.1, t2=0.7)
+    for n_electrons in range(lat.n_sites + 1):
+        curve = flux_sweep(lat, params, BLOCH_GRID, n_electrons)
+        want = _lapack_sweep(lat, params, BLOCH_GRID, n_electrons)
+        assert np.array_equal(curve[:, 0], BLOCH_GRID)
+        assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [build_moebius, build_cylinder])
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_bloch_sweep_with_wire_constant_epsilon(build, N, M):
+    lat = build(N, M)
+    rng = np.random.default_rng(100 * N + M)
+    wire = rng.normal(scale=0.8, size=M)
+    params = HoppingParams(t1=-0.9, t2=1.3, epsilon=np.tile(wire, (2 * N, 1)))
+    for n_electrons in range(lat.n_sites + 1):
+        curve = flux_sweep(lat, params, BLOCH_GRID, n_electrons)
+        want = _lapack_sweep(lat, params, BLOCH_GRID, n_electrons)
+        assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-12)
+
+
+def test_clean_sweep_never_assembles(monkeypatch):
+    import moebius_csr.hamiltonian as hamiltonian
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Bloch path must not assemble")
+
+    grid = np.linspace(0.0, 3.0, 7)
+    for lat in (build_moebius(3, 2), build_cylinder(3, 2)):
+        for eps in (None, np.tile([0.2, -0.4], (6, 1))):
+            params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
+            want = flux_sweep(lat, params, grid, 5)
+            monkeypatch.setattr(hamiltonian, "assemble", forbidden)
+            assert np.array_equal(flux_sweep(lat, params, grid, 5), want)
+            monkeypatch.undo()
+
+
+def test_wire_varying_epsilon_sweep_takes_dense_path(monkeypatch):
+    import moebius_csr.hamiltonian as hamiltonian
+
+    lat = build_moebius(3, 2)
+    eps = np.tile([0.2, -0.4], (6, 1))
+    eps[4, 1] += 0.3  # varies along wire 2
+    params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
+    grid = [0.0, 0.4, 2.2]
+    for n_electrons in (1, 6, 12):
+        curve = flux_sweep(lat, params, grid, n_electrons)
+        want = _lapack_sweep(lat, params, grid, n_electrons)
+        assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-9)
+    calls = []
+    real_assemble = hamiltonian.assemble
+
+    def counting_assemble(*args):
+        calls.append(args)
+        return real_assemble(*args)
+
+    monkeypatch.setattr(hamiltonian, "assemble", counting_assemble)
+    flux_sweep(lat, params, grid, 6)
+    assert len(calls) == len(grid)
+
+
+def test_flux_sweep_rejects_bad_params_on_both_paths():
+    lat = build_moebius(2, 2)
+    for params in (
+        HoppingParams(t1=np.nan, t2=1.0),
+        HoppingParams(t1=1.0, t2=np.inf),
+        HoppingParams(t1=1.0, t2=1.0, phi=np.nan),
+        HoppingParams(t1=1.0, t2=1.0, epsilon=np.zeros((3, 2))),
+        HoppingParams(t1=1.0, t2=1.0, epsilon=np.full((4, 2), np.nan)),
+    ):
+        with pytest.raises(ValueError):
+            flux_sweep(lat, params, [0.0], 2)
+        with pytest.raises(ValueError):
+            assemble(lat, params)
+    with pytest.raises(ValueError):
+        flux_sweep(lat, HoppingParams(t1=1.0, t2=1.0), [0.0], 9)
+
+
+def test_jacobi_tiny_pivot_raises_no_overflow_warning():
+    # a flux point whose Jacobi run meets pivots small enough that
+    # (aqq - app) / (2 apq) used to overflow
+    lat = build_moebius(4, 1)
+    h = assemble(lat, HoppingParams(t1=1.0, t2=0.9, phi=4.4691543028184295))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = eigenvalues(h)
+    assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+
+
+def test_eigenvalues_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues(np.array([[1.0, complex(0, np.nan)], [0.0, 1.0]]))
+
+
+def test_eigenvalues_raises_when_jacobi_does_not_converge():
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(30, 30))
+    a = a + a.T
+    with pytest.raises(ValueError, match=r"30x30.*max_sweeps=1"):
+        eigenvalues(a, max_sweeps=1)
+    assert np.allclose(eigenvalues(a), np.linalg.eigvalsh(a), atol=1e-9)
