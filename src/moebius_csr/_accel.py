@@ -1,8 +1,8 @@
-"""Backend selection for the numeric kernels.
+"""Backend selection for the Jacobi eigensolver.
 
-The kernels in :mod:`moebius_csr._kernels` come in two flavors: a
-numba-compiled one and a pure-NumPy one.  Which flavor the package uses is
-decided once, at import time:
+The eigensolver in :mod:`moebius_csr._kernels` comes in two flavors: a
+numba-compiled one and a pure-NumPy one (the sum kernels are NumPy
+only).  Which flavor the package uses is decided once, at import time:
 
 * ``MOEBIUS_CSR_NUMBA=0`` (also ``false``/``off``/``no``) in the environment
   forces the pure-NumPy fallback,

@@ -1,15 +1,19 @@
 """Numeric kernels: ordered bilinear sums and a cyclic Jacobi eigensolver.
 
-Two rules shape this module.  First, every sum runs in one fixed order
-(first index outer, second index inner) and accumulates in float64, so a
-result is reproducible bit for bit across runs and platforms and can be
-checked against a naive reference loop.  ``np.sum`` would not give that
-guarantee (it reassociates pairwise), hence the explicit loops.  Second,
-the hot kernels carry ``@njit``; when numba is disabled the same loops run
-interpreted, and the eigensolver additionally has a vectorized NumPy
-fallback because interpreted O(d^3) loops would be unusable.
+Every sum runs in one fixed order (first index outer, second index inner)
+and accumulates in float64, so a result is reproducible bit for bit across
+runs and platforms and equals a naive reference loop
+``acc = 0.0; acc += x`` over the same terms.  ``np.sum`` would not give
+that guarantee (it reassociates pairwise), but ``np.cumsum`` adds strictly
+in order: each kernel builds its row-major array of terms and takes the
+last running sum.  The only way that can differ from the loop is the
+loop's ``+0.0`` start, which turns an all-``-0.0`` sum into ``+0.0``;
+adding ``0.0`` to the result restores it.
 
-``jacobi_eigvals`` is the flavor selected by :mod:`moebius_csr._accel`.
+The Jacobi eigensolver carries ``@njit``; when numba is disabled it runs
+as a vectorized NumPy twin, because interpreted O(d^3) loops would be
+unusable.  ``jacobi_eigvals`` is the flavor selected by
+:mod:`moebius_csr._accel`.
 """
 
 from __future__ import annotations
@@ -21,58 +25,40 @@ import numpy as np
 from ._accel import NUMBA_ENABLED, njit
 
 
-@njit(cache=True)
+def _ordered_sum(terms: np.ndarray) -> float:
+    """Row-major sum of ``terms``, bit for bit the sequential loop."""
+    if terms.size == 0:
+        return 0.0
+    return float(0.0 + np.cumsum(terms)[-1])
+
+
 def sum_all(x):
     """Sum every entry of a 2-d float64 array, rows outer, columns inner."""
-    acc = 0.0
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            acc += x[i, j]
-    return acc
+    return _ordered_sum(x)
 
 
-@njit(cache=True)
 def sum_ring_products(a):
     """Sum a[i, j] * a[i+1, j] around each column's ring.
 
     The first index is cyclic: the last row pairs with the first.  Each
     directed pair is counted once (no reverse term).
     """
-    rows = a.shape[0]
-    acc = 0.0
-    for i in range(rows):
-        inext = i + 1
-        if inext == rows:
-            inext = 0
-        for j in range(a.shape[1]):
-            acc += a[i, j] * a[inext, j]
-    return acc
+    return _ordered_sum(a * np.roll(a, -1, axis=0))
 
 
-@njit(cache=True)
 def sum_rung_products(a):
     """Sum a[i, j] * a[i, j+1] over adjacent-column pairs, rows outer."""
-    acc = 0.0
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1] - 1):
-            acc += a[i, j] * a[i, j + 1]
-    return acc
+    return _ordered_sum(a[:, :-1] * a[:, 1:])
 
 
-@njit(cache=True)
 def sum_antipodal_products(a):
     """Sum a[i, last] * a[i+half, last] over all rows of the last column.
 
     ``half`` is half the (even) row count, so every unordered pair is
     visited twice; callers that want each pair once apply a 1/2 factor.
     """
-    rows = a.shape[0]
-    half = rows // 2
-    last = a.shape[1] - 1
-    acc = 0.0
-    for i in range(rows):
-        acc += a[i, last] * a[(i + half) % rows, last]
-    return acc
+    last = a[:, -1]
+    return _ordered_sum(last * np.roll(last, -(a.shape[0] // 2)))
 
 
 @njit(cache=True)

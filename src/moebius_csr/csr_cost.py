@@ -18,7 +18,9 @@ cooperation.
 
 Every sum runs in a fixed order (row ``n`` outer, column ``m`` inner) with
 float64 accumulation, so results are bit-for-bit reproducible and the four
-addends recombine to the total exactly.
+addends recombine to the total exactly.  The sums are the ordered
+``np.cumsum`` kernels of :mod:`moebius_csr._kernels`, which equal naive
+row-major loops bit for bit.
 """
 
 from __future__ import annotations

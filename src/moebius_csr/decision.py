@@ -3,8 +3,8 @@
 When every firm on a ``2N x M`` strip chooses the same contribution level
 ``a`` and the same outlay ``c``, the benefit of contributing is priced at
 ``2NMa`` per unit outlay, the cooperation weights follow the technology
-rule ``t1 = t2 = k * (c * a) ** beta``, and the cost functional collapses
-to a single-variable objective
+rule ``t1 = t2 = t(c) = k * (c * a) ** beta``, and the cost functional
+collapses to a single-variable objective
 
     H(c) = -2*N*M*a*c
            + k * c**beta * N * a**(2 + beta) * (2*M*(1 - delta) + 2*(M - 1))
@@ -18,6 +18,17 @@ gives the bracket
     B = 2*M*(2 - delta) - 2 + a**(lam - 2)
 
 so that  H'(c) = -2*N*M*a + beta*k*c**(beta - 1)*N*a**(2 + beta)*B.
+
+:func:`hcsr_of_c` evaluates H in the technology-rule grouping
+
+    H(c) = t(c) * a * a * (N*B) - 2*N*M*a*c,
+
+``t`` first and then left to right.  Each factor after ``t`` is finite, so
+H stays finite (or overflows to ``inf``) for as long as the cooperation
+weight does; the expanded form's ``c**beta * a**(2 + beta)`` gives
+``inf * 0 = nan`` when ``c**beta`` overflows while ``a**(2 + beta)``
+underflows.  The power is ``np.power`` on scalars and arrays alike, so a
+scalar evaluation equals the array evaluation bit for bit.
 
 The firm maximizes H over the budget interval ``0 <= c <= p - w`` (sale
 price minus wage).  The stationary point, when one exists, is
@@ -79,10 +90,12 @@ class CsrScenario:
     loyalty_exponent: int = 4
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
-        if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
-            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
+        # bool is an int subclass, but N=True is no strip size
+        for name, value in (("N", self.N), ("M", self.M)):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, np.integer)) and value >= 1
+            ):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("a", "k", "beta", "delta", "p", "w"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -169,23 +182,44 @@ def bracket(scenario: CsrScenario) -> float:
     )
 
 
+def _objective(scenario: CsrScenario):
+    """H as a function of the outlay, with the scenario's constants computed once.
+
+    The returned ``h`` takes a float or a float64 array of outlays ``>= 0``
+    and does no checks.  Callers hold ``np.errstate(over="ignore")``.
+    """
+    s = scenario
+    a, k, beta = s.a, s.k, s.beta
+    nb = s.N * bracket(s)
+    slope = 2.0 * s.N * s.M * s.a
+
+    def h(c):
+        return k * np.power(c * a, beta) * a * a * nb - slope * c
+
+    return h
+
+
+def _checked(h):
+    """``h`` for one float outlay, returning a float; rejects ``c < 0`` and
+    non-finite ``c`` like :func:`hcsr_of_c`."""
+
+    def h_scalar(c: float) -> float:
+        if not (math.isfinite(c) and c >= 0.0):
+            raise ValueError(f"c must be finite and >= 0, got {c!r}")
+        return float(h(c))
+
+    return h_scalar
+
+
 def hcsr_of_c(c, scenario: CsrScenario):
     """Objective H(c); accepts a scalar or an array of outlays >= 0."""
-    s = scenario
     arr = np.asarray(c, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("c must be finite")
     if np.any(arr < 0.0):
         raise ValueError("c must be >= 0")
     with np.errstate(over="ignore"):
-        grow = s.k * arr**s.beta * s.N
-        value = (
-            -2.0 * s.N * s.M * s.a * arr
-            + grow
-            * np.float64(s.a) ** (2.0 + s.beta)
-            * (2.0 * s.M * (1.0 - s.delta) + 2.0 * (s.M - 1.0))
-            + grow * np.float64(s.a) ** (s.loyalty_exponent + s.beta)
-        )
+        value = _objective(scenario)(arr)
     if arr.ndim == 0:
         return float(value)
     return value
@@ -308,12 +342,14 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
             candidates.append(stationary)
         candidates.append(budget)
 
-    best_c = candidates[0]
-    best_h = hcsr_of_c(best_c, s)
-    for c in candidates[1:]:
-        h = hcsr_of_c(c, s)
-        if h > best_h:
-            best_c, best_h = c, h
+    h_of = _checked(_objective(s))
+    with np.errstate(over="ignore"):
+        best_c = candidates[0]
+        best_h = h_of(best_c)
+        for c in candidates[1:]:
+            h = h_of(c)
+            if h > best_h:
+                best_c, best_h = c, h
 
     return DecisionReport(
         stationary=stationary,
@@ -338,24 +374,25 @@ def optimize_oracle(
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
-    if budget == 0.0:
-        return 0.0, hcsr_of_c(0.0, s)
+    h = _objective(s)
+    h_of = _checked(h)
+    with np.errstate(over="ignore"):
+        if budget == 0.0:
+            return 0.0, h_of(0.0)
 
-    grid = np.linspace(0.0, budget, grid_points)
-    values = hcsr_of_c(grid, s)
-    peak = int(np.argmax(values))
-    lo = float(grid[max(peak - 1, 0)])
-    hi = float(grid[min(peak + 1, grid_points - 1)])
-    refined = _golden_max(
-        lambda c: hcsr_of_c(c, s), lo, hi, tol=1e-10 * max(1.0, budget)
-    )
+        grid = np.linspace(0.0, budget, grid_points)
+        values = h(grid)
+        peak = int(np.argmax(values))
+        lo = float(grid[max(peak - 1, 0)])
+        hi = float(grid[min(peak + 1, grid_points - 1)])
+        refined = _golden_max(h_of, lo, hi, tol=1e-10 * max(1.0, budget))
 
-    best_c = 0.0
-    best_h = hcsr_of_c(0.0, s)
-    for c in sorted({float(grid[peak]), refined, budget}):
-        h = hcsr_of_c(c, s)
-        if h > best_h:
-            best_c, best_h = c, h
+        best_c = 0.0
+        best_h = h_of(0.0)
+        for c in sorted({float(grid[peak]), refined, budget}):
+            h = h_of(c)
+            if h > best_h:
+                best_c, best_h = c, h
     return best_c, best_h
 
 

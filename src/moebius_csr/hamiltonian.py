@@ -161,7 +161,10 @@ def eigenvalues(
 
 
 def total_energy(eigenvalues_: np.ndarray, n_electrons: int) -> float:
-    """Ground-state energy with the lowest ``n_electrons`` levels filled."""
+    """Ground-state energy with the lowest ``n_electrons`` levels filled.
+
+    Raises ValueError if any level is NaN or infinite.
+    """
     w = np.asarray(eigenvalues_, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("eigenvalues must be a 1-d array")
@@ -171,7 +174,11 @@ def total_energy(eigenvalues_: np.ndarray, n_electrons: int) -> float:
         raise ValueError(
             f"n_electrons must be in 0..{w.size}, got {n_electrons}"
         )
-    return float(np.sort(w)[: int(n_electrons)].sum())
+    w = np.sort(w)
+    # sorting puts -inf first and inf, then NaN, last
+    if w.size and not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        raise ValueError("eigenvalues must be finite (got NaN or inf)")
+    return float(w[: int(n_electrons)].sum())
 
 
 def _wire_chain_levels(
@@ -208,7 +215,8 @@ def flux_sweep(
     each wire) the sweep takes the Bloch path of the module docstring:
     two ``M x M`` Jacobi solves for the whole sweep, then one band add per
     flux point.  Otherwise every flux point assembles and solves the
-    dense ``2NM x 2NM`` Hamiltonian.
+    dense ``2NM x 2NM`` Hamiltonian.  Raises ValueError when the band
+    ``-2*t1*cos(...)`` or a ground-state energy overflows float range.
     """
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
@@ -220,17 +228,27 @@ def flux_sweep(
     out = np.empty((grid.size, 2), dtype=np.float64)
     out[:, 0] = grid
     if eps is None or np.all(eps == eps[0]):
+        width = -2.0 * params.t1
+        if not math.isfinite(width):
+            raise ValueError(
+                f"t1={params.t1!r} overflows the band -2*t1*cos(...)"
+            )
         wire = np.zeros(lattice.M) if eps is None else eps[0]
         chains = _wire_chain_levels(lattice, params, wire)
         q = np.arange(2 * lattice.N)
         chain_of_q = chains[q % len(chains)]
         k = np.pi * q / lattice.N
         for row, phi in enumerate(grid):
-            band = -2.0 * params.t1 * np.cos(k - 2.0 * np.pi * phi / lattice.N)
+            band = width * np.cos(k - 2.0 * np.pi * phi / lattice.N)
             levels = band[:, None] + chain_of_q
             out[row, 1] = total_energy(levels.ravel(), n_electrons)
     else:
         for row, phi in enumerate(grid):
             h = assemble(lattice, replace(params, phi=float(phi)))
             out[row, 1] = total_energy(eigenvalues(h), n_electrons)
+    if not np.all(np.isfinite(out[:, 1])):
+        raise ValueError(
+            f"ground-state energy overflows float range with t1={params.t1!r}, "
+            f"t2={params.t2!r}"
+        )
     return out

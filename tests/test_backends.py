@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,12 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import (
+    naive_antipodal_sum,
+    naive_ring_sum,
+    naive_rung_sum,
+    naive_sum,
+)
 from moebius_csr import _kernels
 from moebius_csr._accel import NUMBA_ENABLED
 
@@ -68,18 +75,33 @@ def test_backend_flag_default():
     assert fallback == str(not HAVE_NUMBA)
 
 
-@needs_numba
-def test_sum_kernels_bitwise_match_python_source():
+SUM_KERNELS = [
+    (_kernels.sum_all, naive_sum),
+    (_kernels.sum_ring_products, naive_ring_sum),
+    (_kernels.sum_rung_products, naive_rung_sum),
+    (_kernels.sum_antipodal_products, naive_antipodal_sum),
+]
+
+
+def test_sum_kernels_bitwise_match_naive_loops():
+    # mixed signs over 16 decades make the sum depend on the order of the
+    # additions, so only the loops' own row-major order matches bit for bit
     rng = np.random.default_rng(11)
-    for rows, cols in [(2, 1), (4, 3), (8, 5), (12, 2)]:
-        a = rng.uniform(0.0, 1.0, size=(rows, cols))
-        for fn in (
-            _kernels.sum_all,
-            _kernels.sum_ring_products,
-            _kernels.sum_rung_products,
-            _kernels.sum_antipodal_products,
-        ):
-            assert fn(a) == fn.py_func(a)
+    inputs = [np.array([[0.25], [-0.75]]), np.full((6, 3), -0.0)]
+    for _ in range(300):
+        rows = 2 * int(rng.integers(1, 41))
+        cols = int(rng.integers(1, 21))
+        magnitude = 10.0 ** rng.uniform(-16.0, 0.0, (rows, cols))
+        inputs.append(rng.choice([-1.0, 1.0], (rows, cols)) * magnitude)
+    inputs.append(np.asfortranarray(inputs[-1]))
+    for a in inputs:
+        for kernel, naive in SUM_KERNELS:
+            got = kernel(a)
+            want = naive(a)
+            assert type(got) is float
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+                kernel.__name__, a.shape, got, want,
+            )
 
 
 @needs_numba

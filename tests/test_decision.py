@@ -1,9 +1,12 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bisect_root, random_scenario
 from moebius_csr import csr_cost
@@ -38,7 +41,9 @@ def test_scenario_validation():
     for field, bad in [
         ("N", 0),
         ("N", 1.5),
+        ("N", True),
         ("M", 0),
+        ("M", True),
         ("a", -0.1),
         ("a", 1.0),
         ("k", 0.0),
@@ -93,6 +98,63 @@ def test_hcsr_basics(s1):
     for c, v in zip(grid, values):
         assert v == hcsr_of_c(float(c), s1)
     assert hcsr_of_c(0.267363, s1) == pytest.approx(5.3473, abs=2e-4)
+
+
+def scenarios(max_beta, max_p, max_w):
+    """Every valid scenario within the given bounds, edges included:
+    a = 0, beta = 1, p <= w, both loyalty exponents."""
+    return st.builds(
+        CsrScenario,
+        N=st.integers(1, 200),
+        M=st.integers(1, 50),
+        a=st.floats(0.0, 1.0, exclude_max=True),
+        k=st.floats(1e-3, 1e3),
+        beta=st.one_of(st.just(1.0), st.floats(0.05, max_beta)),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p=st.floats(0.0, max_p),
+        w=st.floats(0.0, max_w),
+        loyalty_exponent=st.sampled_from([2, 4]),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scenarios(max_beta=40.0, max_p=1e12, max_w=1e3), st.data())
+def test_hcsr_scalar_equals_array_bitwise_property(s, data):
+    budget = max(0.0, s.p - s.w)
+    grid = np.linspace(0.0, budget, 17)
+    picks = data.draw(st.lists(st.floats(0.0, max(budget, 1.0)), max_size=8))
+    outlays = np.concatenate([grid, picks])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or 0 * inf warnings
+        values = hcsr_of_c(outlays, s)
+        for c, v in zip(outlays, values):
+            scalar = hcsr_of_c(float(c), s)
+            assert not math.isnan(scalar)
+            assert scalar == v
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scenarios(max_beta=6.0, max_p=10.0, max_w=10.0))
+def test_optimizer_matches_oracle_property(s):
+    # the oracle refines to 1e-10 * budget, so the budget stays at the
+    # scale where that resolves H to the tolerance below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # closed-form root
+        report = optimize_constrained(s)
+    c_ref, h_ref = optimize_oracle(s)
+    budget = max(0.0, s.p - s.w)
+    assert abs(report.constrained_opt - c_ref) <= max(1e-8, budget / 10_000)
+    assert abs(report.objective_at_opt - h_ref) <= 1e-10 * max(1.0, abs(h_ref))
+
+
+def test_hcsr_finite_where_power_of_a_underflows():
+    # (c*a)**beta stays finite while c**beta overflows and a**(2 + beta)
+    # underflows; the expanded product gave inf * 0 = nan
+    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
+    assert hcsr_of_c(1e10, s) == -2.0
+    assert hcsr_of_c(np.array([1e10]), s)[0] == -2.0
+    c_ref, h_ref = optimize_oracle(s, 2001)
+    assert (c_ref, h_ref) == (0.0, 0.0)
 
 
 def test_hcsr_loyalty_variants_converge_as_a_tends_to_one(s1):

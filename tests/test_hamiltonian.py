@@ -199,6 +199,10 @@ def test_total_energy():
             total_energy(w, bad)
     with pytest.raises(ValueError):
         total_energy(w, 1.5)
+    # sorting puts NaN last: a NaN level used to be dropped from the sum
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            total_energy(np.array([bad, 1.0, -1.0]), 1)
 
 
 def test_flux_sweep_curve():
@@ -325,6 +329,18 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
             assemble(lat, params)
     with pytest.raises(ValueError):
         flux_sweep(lat, HoppingParams(t1=1.0, t2=1.0), [0.0], 9)
+
+
+def test_flux_sweep_raises_on_overflowing_hopping():
+    # -2*t1*cos(...) overflows the band itself; with 5e307 the levels stay
+    # finite and their sum overflows
+    lat = build_moebius(2, 2)
+    with pytest.raises(ValueError, match="t1=1e"):
+        flux_sweep(lat, HoppingParams(t1=1e308, t2=0.5), [0.0], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="t1=5e"):
+            flux_sweep(lat, HoppingParams(t1=5e307, t2=0.5), [0.0, 0.5], 8)
 
 
 def test_jacobi_tiny_pivot_raises_no_overflow_warning():
