@@ -8,12 +8,8 @@ Modules:
 * :mod:`moebius_csr.csr_cost` -- cost functional over contribution matrices
 * :mod:`moebius_csr.decision` -- uniform-contribution optimization
 * :mod:`moebius_csr.cli` -- command-line front end
-
-Set ``MOEBIUS_CSR_NUMBA=0`` before import to force the pure-NumPy kernel
-fallback; :data:`moebius_csr.NUMBA_ENABLED` reports the active backend.
 """
 
-from ._accel import NUMBA_ENABLED
 from .csr_cost import CostBreakdown, CsrParams, total_hcsr
 from .decision import (
     BetaRegime,
@@ -36,7 +32,6 @@ from .lattice import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "CostBreakdown",
     "CsrParams",
     "total_hcsr",

@@ -10,10 +10,12 @@ last running sum.  The only way that can differ from the loop is the
 loop's ``+0.0`` start, which turns an all-``-0.0`` sum into ``+0.0``;
 adding ``0.0`` to the result restores it.
 
-The Jacobi eigensolver carries ``@njit``; when numba is disabled it runs
-as a vectorized NumPy twin, because interpreted O(d^3) loops would be
-unusable.  ``jacobi_eigvals`` is the flavor selected by
-:mod:`moebius_csr._accel`.
+The Jacobi eigensolver works on Python scalars (``a.tolist()``), not on
+NumPy arrays: the matrices it meets are small (the ``M x M`` wire chains
+of a flux sweep, dense strips up to a few hundred sites), and at those
+sizes one interpreted scalar operation costs less than one NumPy call on
+a row.  A complex Hermitian matrix is rotated in place with the phase of
+each pivot, so it is never embedded in a real matrix of twice its size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
 
 
 def _ordered_sum(terms: np.ndarray) -> float:
@@ -61,104 +62,112 @@ def sum_antipodal_products(a):
     return _ordered_sum(last * np.roll(last, -(a.shape[0] // 2)))
 
 
-@njit(cache=True)
-def jacobi_eigvals_compiled(a, tol, max_sweeps):
-    """Eigenvalues of a real symmetric matrix by the cyclic Jacobi method.
+def _off_norm(a):
+    """Frobenius norm of the off-diagonal part of the Hermitian ``a``.
 
-    Sweeps rotate every upper-triangle pivot (p, q) in row order until the
-    off-diagonal Frobenius norm drops to ``tol`` or ``max_sweeps`` is hit.
-    The matrix is destroyed; the diagonal is returned unsorted.
+    When the largest entry exceeds 1, every entry is first multiplied by
+    the power of two that brings the largest below 1, so the squares
+    cannot overflow.  The scaling is exact, so the norm is the one the
+    unscaled sum gives wherever that sum stays in float range.
     """
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        off2 = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off2 += a[i, j] * a[i, j]
-        if math.sqrt(2.0 * off2) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                diff = aqq - app
-                # asymptotic tangent 1/(2*tau) when |tau| > 1e12, chosen
-                # before dividing by apq: a tiny apq would overflow tau
-                if abs(diff) > 2e12 * abs(apq):
-                    t = apq / diff
-                else:
-                    tau = diff / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip = a[i, p]
-                        aiq = a[i, q]
-                        a[i, p] = c * aip - s * aiq
-                        a[p, i] = a[i, p]
-                        a[i, q] = s * aip + c * aiq
-                        a[q, i] = a[i, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.diag(a).copy()
+    upper = [abs(x) for p, row in enumerate(a) for x in row[p + 1 :]]
+    big = max(upper, default=0.0)
+    scale = math.ldexp(1.0, -max(0, math.frexp(big)[1]))
+    total = 0.0
+    for x in upper:
+        x *= scale
+        total += x * x
+    return math.sqrt(2.0 * total) / scale
 
 
-def jacobi_eigvals_numpy(a, tol, max_sweeps):
-    """Vectorized twin of :func:`jacobi_eigvals_compiled`.
+def _sweep(a, hermitian):
+    """One cyclic sweep over the rows ``a``: rotate every upper-triangle
+    pivot (p, q) in row order, in place.
 
-    Same rotations and pivot order, but each rotation updates whole rows
-    and columns at once so the interpreted path stays usable.
+    Real input rotates by the signed pivot; complex input first takes out
+    the pivot's phase ``z = a[p][q] / |a[p][q]|``, which leaves the real
+    problem with pivot ``|a[p][q]|``.  Both keep ``a`` exactly Hermitian.
     """
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                diff = aqq - app
-                # asymptotic tangent 1/(2*tau) when |tau| > 1e12, chosen
-                # before dividing by apq: a tiny apq would overflow tau
-                if abs(diff) > 2e12 * abs(apq):
-                    t = apq / diff
+    n = len(a)
+    for p in range(n - 1):
+        row_p = a[p]
+        for q in range(p + 1, n):
+            apq = row_p[q]
+            if apq == 0.0:
+                continue
+            row_q = a[q]
+            if hermitian:
+                r = abs(apq)
+                z = apq / r
+            else:
+                r = apq
+                z = 1.0
+            app = row_p[p]
+            aqq = row_q[q]
+            diff = aqq - app
+            # asymptotic tangent 1/(2*tau) when |tau| > 1e12, chosen
+            # before dividing by the pivot: a tiny pivot would overflow tau
+            if abs(diff) > 2e12 * abs(r):
+                t = r / diff
+            else:
+                tau = diff / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    tau = diff / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.diag(a).copy()
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # columns p and q of every row, then rows p and q as their
+            # conjugates; the 2x2 block at (p, q), which these loops leave
+            # stale, is set after them.  Real input skips the conjugations,
+            # which would cost it about a tenth of its time.
+            if hermitian:
+                sz = s * z
+                szc = sz.conjugate()
+                for i, row in enumerate(a):
+                    x = row[p]
+                    y = row[q]
+                    u = c * x - szc * y
+                    v = sz * x + c * y
+                    row[p] = u
+                    row[q] = v
+                    row_p[i] = u.conjugate()
+                    row_q[i] = v.conjugate()
+            else:
+                for i, row in enumerate(a):
+                    x = row[p]
+                    y = row[q]
+                    u = c * x - s * y
+                    v = s * x + c * y
+                    row[p] = row_p[i] = u
+                    row[q] = row_q[i] = v
+            row_p[p] = app - t * r
+            row_q[q] = aqq + t * r
+            row_p[q] = row_q[p] = 0.0
 
 
-if NUMBA_ENABLED:
-    jacobi_eigvals = jacobi_eigvals_compiled
-else:
-    jacobi_eigvals = jacobi_eigvals_numpy
+def jacobi_eigvals(a, tol, max_sweeps):
+    """Eigenvalues of a Hermitian matrix by the cyclic Jacobi method.
+
+    ``a`` is a square float64 (real symmetric) or complex128 (Hermitian)
+    ndarray; only its upper triangle and the real part of its diagonal
+    are read, and ``a`` itself is left unchanged.  Sweeps run until the
+    off-diagonal Frobenius norm is at most ``tol`` or ``max_sweeps`` sweeps
+    have run.  Returns ``(levels, sweeps, off)``: the eigenvalues as an
+    unsorted float64 array, the number of sweeps run and the final
+    off-diagonal norm.
+    """
+    hermitian = np.iscomplexobj(a)
+    rows = a.tolist()
+    for p, row in enumerate(rows):
+        row[p] = row[p].real
+        for q in range(p + 1, len(rows)):
+            rows[q][p] = row[q].conjugate()
+    sweeps = 0
+    off = _off_norm(rows)
+    while off > tol and sweeps < max_sweeps:
+        _sweep(rows, hermitian)
+        sweeps += 1
+        off = _off_norm(rows)
+    levels = np.array([row[p] for p, row in enumerate(rows)], dtype=np.float64)
+    return levels, sweeps, off

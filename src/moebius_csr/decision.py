@@ -268,7 +268,8 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
     if s.beta == 1.0 or s.a == 0.0:
         return None
     b = bracket(s)
-    with np.errstate(over="ignore"):
+    # a**(1 + beta) may underflow to 0, and the root is then inf
+    with np.errstate(over="ignore", divide="ignore"):
         if s.beta > 1.0:
             base = np.float64(2.0 * s.M) / np.float64(
                 s.beta * s.k * np.float64(s.a) ** (1.0 + s.beta) * b

@@ -17,11 +17,9 @@ amplitude and its conjugate transpose.  Since the flux enters only through
 period ``N``.
 
 Eigenvalues are computed with the in-house cyclic Jacobi solver from
-:mod:`moebius_csr._kernels`.  A complex Hermitian ``H = X + iY`` is first
-embedded as the real symmetric ``[[X, -Y], [Y, X]]``, whose spectrum is
-that of ``H`` with every eigenvalue doubled; sorting and taking every
-second entry undoes the doubling (degenerate levels of ``H`` stay
-degenerate under the embedding, so the pairing survives ties).
+:mod:`moebius_csr._kernels`.  Real symmetric input is rotated by its real
+pivots; complex Hermitian input by the modulus of each pivot after its
+phase is taken out, so the solver never works on more than ``2NM`` rows.
 
 :func:`flux_sweep` avoids the dense matrix whenever the on-site energies
 are constant along each wire (``epsilon`` is None or all its rows are
@@ -36,8 +34,8 @@ The spectrum at flux ``phi`` is then
     { -2*t1*cos(pi*q/N - 2*pi*phi/N) + lambda_j(T_{q mod 2}) }.
 
 A whole sweep costs two ``M x M`` eigenproblems (one on a cylinder, where
-``T_0 = T_1``) plus one band add per flux point.  Wire-varying ``epsilon``
-breaks the symmetry and takes the dense path.
+``T_0 = T_1``) plus one band fill over the whole ``(phi, q)`` grid.
+Wire-varying ``epsilon`` breaks the symmetry and takes the dense path.
 """
 
 from __future__ import annotations
@@ -54,6 +52,8 @@ from .lattice import EdgeKind, MoebiusLattice, Topology
 # Frobenius norm OFF_DIAG_TOL, hard sweep cap MAX_SWEEPS
 OFF_DIAG_TOL = 1e-12
 MAX_SWEEPS = 100
+# most levels one band fill of flux_sweep holds at once (8 bytes each)
+FILL_LEVELS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +123,10 @@ def eigenvalues(
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Rejects non-square, non-finite and non-Hermitian input (tolerance
-    ``1e-12`` relative to the largest entry).  Real symmetric input is
-    solved directly; complex input goes through the doubling embedding
-    described in the module docstring.  Raises ValueError if Jacobi stops
-    at ``max_sweeps`` with an off-diagonal norm still above ``tol``.
+    ``1e-12`` relative to the largest entry).  Input with a nonzero
+    imaginary part is solved as complex Hermitian, anything else as real
+    symmetric.  Raises ValueError if Jacobi stops at ``max_sweeps`` with
+    an off-diagonal norm still above ``tol``.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
@@ -139,46 +139,61 @@ def eigenvalues(
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 
     if np.iscomplexobj(h) and np.any(h.imag):
-        x = np.ascontiguousarray(h.real, dtype=np.float64)
-        y = np.ascontiguousarray(h.imag, dtype=np.float64)
-        a = np.block([[x, -y], [y, x]])
-        doubled = True
+        a = np.asarray(h, dtype=np.complex128)
     else:
-        a = np.array(h.real, dtype=np.float64, order="C", copy=True)
-        doubled = False
-
-    w = jacobi_eigvals(a, tol, max_sweeps)
-    # Jacobi leaves its rotated work array in ``a``
-    off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-    if off > tol:
+        a = np.asarray(h.real, dtype=np.float64)
+    w, sweeps, off = jacobi_eigvals(a, tol, max_sweeps)
+    if not off <= tol:
+        n = a.shape[0]
         raise ValueError(
-            f"Jacobi did not converge on a {a.shape[0]}x{a.shape[0]} matrix "
-            f"within max_sweeps={max_sweeps}: off-diagonal norm {off:.3e} "
+            f"Jacobi did not converge on a {n}x{n} matrix after {sweeps} "
+            f"sweeps (max_sweeps={max_sweeps}): off-diagonal norm {off:.3e} "
             f"> tol {tol:.3e}"
         )
     w.sort()
-    return w[::2] if doubled else w
+    return w
+
+
+def _check_filling(n_electrons, n_levels: int) -> None:
+    if not isinstance(n_electrons, (int, np.integer)):
+        raise ValueError("n_electrons must be an integer")
+    if not (0 <= n_electrons <= n_levels):
+        raise ValueError(
+            f"n_electrons must be in 0..{n_levels}, got {n_electrons}"
+        )
+
+
+def _filled_sums(levels: np.ndarray, n_electrons: int) -> np.ndarray:
+    """Sum of the lowest ``n_electrons`` levels of each row of ``levels``.
+
+    Raises ValueError if any level is NaN or infinite.  A sum that
+    overflows comes back as inf or NaN, without a warning: each caller
+    checks the sums and names the cause.
+    """
+    w = np.sort(levels, axis=1)
+    # sorting puts -inf first and inf, then NaN, last
+    if w.size and not (np.isfinite(w[:, 0]).all() and np.isfinite(w[:, -1]).all()):
+        raise ValueError("eigenvalues must be finite (got NaN or inf)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w[:, : int(n_electrons)].sum(axis=1)
 
 
 def total_energy(eigenvalues_: np.ndarray, n_electrons: int) -> float:
     """Ground-state energy with the lowest ``n_electrons`` levels filled.
 
-    Raises ValueError if any level is NaN or infinite.
+    Raises ValueError if any level is NaN or infinite, or if the sum of
+    the filled levels overflows float range.
     """
     w = np.asarray(eigenvalues_, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("eigenvalues must be a 1-d array")
-    if not isinstance(n_electrons, (int, np.integer)):
-        raise ValueError("n_electrons must be an integer")
-    if not (0 <= n_electrons <= w.size):
+    _check_filling(n_electrons, w.size)
+    energy = float(_filled_sums(w[None, :], n_electrons)[0])
+    if not math.isfinite(energy):
         raise ValueError(
-            f"n_electrons must be in 0..{w.size}, got {n_electrons}"
+            f"the sum of the lowest {n_electrons} levels overflows float range"
         )
-    w = np.sort(w)
-    # sorting puts -inf first and inf, then NaN, last
-    if w.size and not (math.isfinite(w[0]) and math.isfinite(w[-1])):
-        raise ValueError("eigenvalues must be finite (got NaN or inf)")
-    return float(w[: int(n_electrons)].sum())
+    return energy
 
 
 def _wire_chain_levels(
@@ -213,10 +228,11 @@ def flux_sweep(
 
     When ``params.epsilon`` is None or equal in every row (constant along
     each wire) the sweep takes the Bloch path of the module docstring:
-    two ``M x M`` Jacobi solves for the whole sweep, then one band add per
-    flux point.  Otherwise every flux point assembles and solves the
-    dense ``2NM x 2NM`` Hamiltonian.  Raises ValueError when the band
-    ``-2*t1*cos(...)`` or a ground-state energy overflows float range.
+    two ``M x M`` Jacobi solves for the whole sweep, then one band fill
+    over all flux points at once.  Otherwise every flux point assembles
+    and solves the dense ``2NM x 2NM`` Hamiltonian.  Raises ValueError
+    when the band ``-2*t1*cos(...)`` or a ground-state energy overflows
+    float range.
     """
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
@@ -224,9 +240,8 @@ def flux_sweep(
     if not np.all(np.isfinite(grid)):
         raise ValueError("flux grid must be finite")
     eps = _validated_epsilon(lattice, params)
+    _check_filling(n_electrons, lattice.n_sites)
 
-    out = np.empty((grid.size, 2), dtype=np.float64)
-    out[:, 0] = grid
     if eps is None or np.all(eps == eps[0]):
         width = -2.0 * params.t1
         if not math.isfinite(width):
@@ -238,14 +253,26 @@ def flux_sweep(
         q = np.arange(2 * lattice.N)
         chain_of_q = chains[q % len(chains)]
         k = np.pi * q / lattice.N
-        for row, phi in enumerate(grid):
-            band = width * np.cos(k - 2.0 * np.pi * phi / lattice.N)
-            levels = band[:, None] + chain_of_q
-            out[row, 1] = total_energy(levels.ravel(), n_electrons)
+
+        def levels_at(part):
+            band = width * np.cos(k - 2.0 * np.pi * part[:, None] / lattice.N)
+            return (band[:, :, None] + chain_of_q).reshape(part.size, -1)
+
     else:
-        for row, phi in enumerate(grid):
-            h = assemble(lattice, replace(params, phi=float(phi)))
-            out[row, 1] = total_energy(eigenvalues(h), n_electrons)
+
+        def levels_at(part):
+            return np.stack([
+                eigenvalues(assemble(lattice, replace(params, phi=float(phi))))
+                for phi in part
+            ])
+
+    out = np.empty((grid.size, 2), dtype=np.float64)
+    out[:, 0] = grid
+    # bounds the level block of one fill on long grids of large strips
+    step = max(1, FILL_LEVELS // lattice.n_sites)
+    for start in range(0, grid.size, step):
+        rows = slice(start, start + step)
+        out[rows, 1] = _filled_sums(levels_at(grid[rows]), n_electrons)
     if not np.all(np.isfinite(out[:, 1])):
         raise ValueError(
             f"ground-state energy overflows float range with t1={params.t1!r}, "

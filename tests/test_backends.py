@@ -1,11 +1,7 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
+import warnings
 
 import numpy as np
-import pytest
 
 from conftest import (
     naive_antipodal_sum,
@@ -14,42 +10,11 @@ from conftest import (
     naive_sum,
 )
 from moebius_csr import _kernels
-from moebius_csr._accel import NUMBA_ENABLED
+from moebius_csr.hamiltonian import HoppingParams, assemble
+from moebius_csr.lattice import build_moebius
 
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-needs_numba = pytest.mark.skipif(
-    not NUMBA_ENABLED, reason="compiled backend disabled in this environment"
-)
-
-FALSY_SPELLINGS = ["0", "false", "off", "no", "FALSE", "Off", "NO", " no ", "\t0\n"]
-TRUTHY_SPELLINGS = ["1", "true", "YES", " on "]
-
-
-def run_fresh(script, flag):
-    """Run ``script`` in a new interpreter and return its stdout.
-
-    ``flag`` is the value of ``MOEBIUS_CSR_NUMBA`` in the child's
-    environment; ``None`` removes the variable altogether.
-    """
-    env = dict(os.environ)
-    env.pop("MOEBIUS_CSR_NUMBA", None)
-    if flag is not None:
-        env["MOEBIUS_CSR_NUMBA"] = flag
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+TOL = 1e-12
+MAX_SWEEPS = 100
 
 
 def random_symmetric(rng, size):
@@ -57,22 +22,70 @@ def random_symmetric(rng, size):
     return (x + x.T) / 2.0
 
 
-def test_backend_flag_default():
-    # with the switch unset, numba is used exactly when it imports cleanly
-    script = textwrap.dedent(
-        """
-        from moebius_csr import _kernels
-        from moebius_csr._accel import NUMBA_ENABLED
+def random_unitary(rng, size):
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
-        compiled = _kernels.jacobi_eigvals is _kernels.jacobi_eigvals_compiled
-        fallback = _kernels.jacobi_eigvals is _kernels.jacobi_eigvals_numpy
-        print(NUMBA_ENABLED, compiled, fallback)
-        """
-    )
-    enabled, compiled, fallback = run_fresh(script, None).split()
-    assert enabled == str(HAVE_NUMBA)
-    assert compiled == str(HAVE_NUMBA)
-    assert fallback == str(not HAVE_NUMBA)
+
+def solve(a):
+    """Jacobi levels of ``a``, sorted, after checking the solver's contract."""
+    before = a.copy()
+    levels, sweeps, off = _kernels.jacobi_eigvals(a, TOL, MAX_SWEEPS)
+    assert np.array_equal(a, before)  # the input is only read
+    assert levels.dtype == np.float64 and levels.shape == (a.shape[0],)
+    assert 0 <= sweeps <= MAX_SWEEPS and 0.0 <= off <= TOL
+    return np.sort(levels)
+
+
+def assert_matches_lapack(a):
+    want = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(solve(a), want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_jacobi_real_symmetric_matches_lapack():
+    rng = np.random.default_rng(13)
+    for size in range(1, 41):
+        assert_matches_lapack(random_symmetric(rng, size))
+
+
+def test_jacobi_complex_hermitian_with_exact_degeneracies():
+    rng = np.random.default_rng(14)
+    # levels with multiplicities 1 to 4, rotated by a random unitary
+    for spectrum in ([2.0, 2.0], [-1.0, 0.5, 0.5, 0.5, 3.0], [0.0] * 3 + [1.5] * 4 + [-2.0]):
+        u = random_unitary(rng, len(spectrum))
+        h = (u * spectrum) @ u.conj().T
+        h = (h + h.conj().T) / 2.0
+        assert_matches_lapack(h)
+        np.testing.assert_allclose(solve(h), np.sort(spectrum), rtol=0.0, atol=1e-12)
+    # two identical purely imaginary blocks: exact ties with no real part
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = h[2, 3] = 1j
+    h[1, 0] = h[3, 2] = -1j
+    np.testing.assert_allclose(solve(h), [-1.0, -1.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
+    # a strip Hamiltonian at a complex flux point
+    assert_matches_lapack(assemble(build_moebius(3, 2), HoppingParams(t1=1.0, t2=0.4, phi=0.3)))
+
+
+def test_jacobi_diagonal_input_is_returned_untouched():
+    diag = np.array([3.0, -0.0, -1.5, 1e-300, 2.0])
+    for a in (np.diag(diag), np.diag(diag).astype(complex)):
+        levels, sweeps, off = _kernels.jacobi_eigvals(a, TOL, MAX_SWEEPS)
+        assert sweeps == 0 and off == 0.0
+        assert np.array_equal(levels, diag)
+
+
+def test_jacobi_tiny_pivot_point():
+    # the Moebius (4,1) flux point whose Jacobi run met pivots small enough
+    # that (aqq - app) / (2 apq) used to overflow, and a first pivot far
+    # below its diagonal gap, with the gap of either sign
+    h = assemble(build_moebius(4, 1), HoppingParams(t1=1.0, t2=0.9, phi=4.4691543028184295))
+    tiny = np.array([[0.0, 1e-300, 1.0], [1e-300, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (h, h.real.copy(), tiny, tiny[::-1, ::-1].copy()):
+            assert_matches_lapack(a)
 
 
 SUM_KERNELS = [
@@ -102,59 +115,3 @@ def test_sum_kernels_bitwise_match_naive_loops():
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
                 kernel.__name__, a.shape, got, want,
             )
-
-
-@needs_numba
-def test_jacobi_backends_agree():
-    rng = np.random.default_rng(12)
-    for size in (2, 5, 9, 16):
-        a = random_symmetric(rng, size)
-        compiled = np.sort(_kernels.jacobi_eigvals_compiled(a.copy(), 1e-12, 100))
-        fallback = np.sort(_kernels.jacobi_eigvals_numpy(a.copy(), 1e-12, 100))
-        reference = np.linalg.eigvalsh(a)
-        assert np.allclose(compiled, fallback, atol=1e-10)
-        assert np.allclose(compiled, reference, atol=1e-9)
-        assert np.allclose(fallback, reference, atol=1e-9)
-
-
-def test_numpy_fallback_alone_matches_lapack():
-    rng = np.random.default_rng(13)
-    for size in (3, 7, 12):
-        a = random_symmetric(rng, size)
-        got = np.sort(_kernels.jacobi_eigvals_numpy(a.copy(), 1e-12, 100))
-        assert np.allclose(got, np.linalg.eigvalsh(a), atol=1e-9)
-
-
-def test_disabled_backend_subprocess():
-    script = textwrap.dedent(
-        """
-        import numpy as np
-        from moebius_csr import _kernels
-        from moebius_csr._accel import NUMBA_ENABLED
-        from moebius_csr.hamiltonian import HoppingParams, assemble, eigenvalues
-        from moebius_csr.lattice import build_moebius
-
-        assert not NUMBA_ENABLED
-        assert _kernels.jacobi_eigvals is _kernels.jacobi_eigvals_numpy
-
-        h = assemble(build_moebius(3, 2), HoppingParams(t1=1.0, t2=0.4, phi=0.3))
-        got = eigenvalues(h)
-        want = np.linalg.eigvalsh(h)
-        assert np.allclose(got, want, atol=1e-9), (got, want)
-        print("fallback-ok")
-        """
-    )
-    assert "fallback-ok" in run_fresh(script, "0")
-
-
-def test_truthy_and_falsy_flag_spellings():
-    # a falsy spelling always forces the fallback; a truthy one only asks
-    # for numba, which is granted when numba imports
-    script = (
-        "from moebius_csr import _accel; "
-        "print(_accel._want_numba, _accel.NUMBA_ENABLED)"
-    )
-    for value in FALSY_SPELLINGS:
-        assert run_fresh(script, value).split() == ["False", "False"], repr(value)
-    for value in TRUTHY_SPELLINGS:
-        assert run_fresh(script, value).split() == ["True", str(HAVE_NUMBA)], repr(value)

@@ -231,6 +231,14 @@ def test_stationary_none_cases(s2):
     assert stationary_closed_form(flat) is None  # objective vanishes
 
 
+def test_stationary_past_float_range_is_inf_without_warnings():
+    # a**(1 + beta) underflows to 0, so the root (2M / 0) ** (1/39) is inf
+    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stationary_closed_form(s) == math.inf
+
+
 def test_foc_consistency_property():
     rng = np.random.default_rng(2024)
     for _ in range(200):

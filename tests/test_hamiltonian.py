@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ring_dispersion
+import moebius_csr.hamiltonian as hamiltonian
 from moebius_csr.hamiltonian import (
     HoppingParams,
     assemble,
@@ -92,8 +93,8 @@ def test_ring_plus_antipodal_chords_is_complete_graph():
 
 
 def test_degenerate_levels_survive_complex_embedding():
-    # complex Hermitian input with exactly degenerate levels: the doubling
-    # embedding must pair eigenvalues correctly even under exact ties
+    # complex Hermitian input with exactly degenerate levels: rotating by
+    # the phase of each pivot must keep both members of every tie
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = 1j
     h[1, 0] = -1j
@@ -333,12 +334,12 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
 
 def test_flux_sweep_raises_on_overflowing_hopping():
     # -2*t1*cos(...) overflows the band itself; with 5e307 the levels stay
-    # finite and their sum overflows
+    # finite and their sum overflows, which must not warn on the way
     lat = build_moebius(2, 2)
     with pytest.raises(ValueError, match="t1=1e"):
         flux_sweep(lat, HoppingParams(t1=1e308, t2=0.5), [0.0], 2)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t1=5e"):
             flux_sweep(lat, HoppingParams(t1=5e307, t2=0.5), [0.0, 0.5], 8)
 
@@ -368,4 +369,70 @@ def test_eigenvalues_raises_when_jacobi_does_not_converge():
     a = a + a.T
     with pytest.raises(ValueError, match=r"30x30.*max_sweeps=1"):
         eigenvalues(a, max_sweeps=1)
+    with pytest.raises(ValueError, match=r"after 3 sweeps"):
+        eigenvalues(a, max_sweeps=3)
     assert np.allclose(eigenvalues(a), np.linalg.eigvalsh(a), atol=1e-9)
+
+
+def _per_point_bloch_sweep(lat, params, grid, n_electrons):
+    # the Bloch path one flux point at a time: band, levels, then the
+    # lowest levels summed by total_energy and by a 1-d NumPy sort and sum
+    chains = hamiltonian._wire_chain_levels(lat, params, np.zeros(lat.M))
+    q = np.arange(2 * lat.N)
+    k = np.pi * q / lat.N
+    energies = []
+    for phi in np.asarray(grid, dtype=np.float64):
+        band = -2.0 * params.t1 * np.cos(k - 2.0 * np.pi * phi / lat.N)
+        levels = (band[:, None] + chains[q % len(chains)]).ravel()
+        energy = float(np.sort(levels)[:n_electrons].sum())
+        assert total_energy(levels, n_electrons) == energy
+        energies.append(energy)
+    return np.array(energies)
+
+
+@pytest.mark.parametrize("build", [build_moebius, build_cylinder])
+def test_grid_fill_equals_per_point_total_energy_bitwise(build, monkeypatch):
+    rng = np.random.default_rng(41)
+    for N, M in ((1, 1), (1, 3), (2, 2), (3, 4), (6, 4)):
+        lat = build(N, M)
+        params = HoppingParams(t1=float(rng.uniform(0.5, 1.5)), t2=float(rng.uniform(0.25, 1.25)))
+        grid = float(rng.uniform(0.25, 2.0)) * N / 40 * np.arange(41)
+        for n_electrons in range(lat.n_sites + 1):
+            want = _per_point_bloch_sweep(lat, params, grid, n_electrons)
+            got = flux_sweep(lat, params, grid, n_electrons)[:, 1]
+            assert np.array_equal(got, want), (N, M, n_electrons)
+    # fills of three flux points at a time give the same bits
+    monkeypatch.setattr(hamiltonian, "FILL_LEVELS", 3 * lat.n_sites)
+    want = _per_point_bloch_sweep(lat, params, grid, 20)
+    assert np.array_equal(flux_sweep(lat, params, grid, 20)[:, 1], want)
+
+
+def test_eigenvalues_of_huge_entries_raise_no_overflow():
+    # squaring entries past ~1e154 overflowed the off-diagonal norm
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    cases = [
+        np.array([[0.0, 1e200], [1e200, 1.0]]),
+        1e200 * (x.real + x.real.T),
+        1e200 * (x + x.conj().T),
+    ]
+    for h in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigenvalues(h)
+        want = np.linalg.eigvalsh(h)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    # an unconverged solve reports its off-diagonal norm as a finite number
+    x = rng.normal(size=(30, 30))
+    big = 1e200 * (x + x.T)
+    with pytest.raises(ValueError, match=r"off-diagonal norm \d\.\d{3}e\+2\d\d >"):
+        eigenvalues(big, max_sweeps=1)
+
+
+def test_total_energy_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            total_energy(np.array([1e308, 1e308, -1.0]), 3)
+        with pytest.raises(ValueError, match="overflows"):
+            total_energy(np.array([-1e308, -1e308, 1e308, 1e308]), 4)
