@@ -1,4 +1,4 @@
-"""Numeric kernels: ordered bilinear sums and a cyclic Jacobi eigensolver.
+"""Numeric kernels: ordered bilinear sums and a Hermitian eigensolver.
 
 Every sum runs in one fixed order (first index outer, second index inner)
 and accumulates in float64, so a result is reproducible bit for bit across
@@ -10,17 +10,14 @@ last running sum.  The only way that can differ from the loop is the
 loop's ``+0.0`` start, which turns an all-``-0.0`` sum into ``+0.0``;
 adding ``0.0`` to the result restores it.
 
-The Jacobi eigensolver works on Python scalars (``a.tolist()``), not on
-NumPy arrays: the matrices it meets are small (the ``M x M`` wire chains
-of a flux sweep, dense strips up to a few hundred sites), and at those
-sizes one interpreted scalar operation costs less than one NumPy call on
-a row.  A complex Hermitian matrix is rotated in place with the phase of
-each pivot, so it is never embedded in a real matrix of twice its size.
+The eigensolver works on a stack of matrices at once (a block of flux
+points): Householder reflections reduce each one to real tridiagonal form,
+and every level of every matrix is bisected together on Sturm counts, so
+the number of NumPy calls does not grow with the stack.  Bisection ends
+after a fixed number of halvings: no input comes back unconverged.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -62,112 +59,129 @@ def sum_antipodal_products(a):
     return _ordered_sum(last * np.roll(last, -(a.shape[0] // 2)))
 
 
-def _off_norm(a):
-    """Frobenius norm of the off-diagonal part of the Hermitian ``a``.
+# the ordered integers of [-7/4, 7/4] span less than 2**63, so this many
+# halvings end on two adjacent floats, and their sums stay in int64
+HALVINGS = 63
+TINY = np.finfo(np.float64).tiny
 
-    When the largest entry exceeds 1, every entry is first multiplied by
-    the power of two that brings the largest below 1, so the squares
-    cannot overflow.  The scaling is exact, so the norm is the one the
-    unscaled sum gives wherever that sum stays in float range.
+
+def _power_of_two_scale(x: np.ndarray) -> np.ndarray:
+    """Per-matrix power of two that brings the largest |entry| of ``x`` into
+    [1/2, 1), or as close as the largest finite power 2**1023 allows.
+
+    The first axis of ``x`` indexes matrices; the factor keeps the other
+    axes as length-1 axes.  Scaling by a power of two is exact.
     """
-    upper = [abs(x) for p, row in enumerate(a) for x in row[p + 1 :]]
-    big = max(upper, default=0.0)
-    scale = math.ldexp(1.0, -max(0, math.frexp(big)[1]))
-    total = 0.0
-    for x in upper:
-        x *= scale
-        total += x * x
-    return math.sqrt(2.0 * total) / scale
+    big = np.abs(x).max(axis=tuple(range(1, x.ndim)), keepdims=True)
+    return np.ldexp(1.0, np.minimum(-np.frexp(big)[1], 1023))
 
 
-def _sweep(a, hermitian):
-    """One cyclic sweep over the rows ``a``: rotate every upper-triangle
-    pivot (p, q) in row order, in place.
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder reduction of a Hermitian stack ``a`` of shape (P, d, d).
 
-    Real input rotates by the signed pivot; complex input first takes out
-    the pivot's phase ``z = a[p][q] / |a[p][q]|``, which leaves the real
-    problem with pivot ``|a[p][q]|``.  Both keep ``a`` exactly Hermitian.
+    Returns the diagonals (P, d) and the off-diagonal moduli (P, d - 1) of
+    real symmetric tridiagonal matrices with the spectra of the input.
+    Step k reflects column k below the diagonal onto its first entry by
+    ``H = I - 2 v v^H`` and updates the trailing block to
+    ``A - 2 v w^H - 2 w v^H`` with ``p = A v``, ``w = p - (v^H p) v``.
+    A zero column gives ``v = 0``, so diagonal input passes through exactly.
     """
-    n = len(a)
-    for p in range(n - 1):
-        row_p = a[p]
-        for q in range(p + 1, n):
-            apq = row_p[q]
-            if apq == 0.0:
-                continue
-            row_q = a[q]
-            if hermitian:
-                r = abs(apq)
-                z = apq / r
-            else:
-                r = apq
-                z = 1.0
-            app = row_p[p]
-            aqq = row_q[q]
-            diff = aqq - app
-            # asymptotic tangent 1/(2*tau) when |tau| > 1e12, chosen
-            # before dividing by the pivot: a tiny pivot would overflow tau
-            if abs(diff) > 2e12 * abs(r):
-                t = r / diff
-            else:
-                tau = diff / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            # columns p and q of every row, then rows p and q as their
-            # conjugates; the 2x2 block at (p, q), which these loops leave
-            # stale, is set after them.  Real input skips the conjugations,
-            # which would cost it about a tenth of its time.
-            if hermitian:
-                sz = s * z
-                szc = sz.conjugate()
-                for i, row in enumerate(a):
-                    x = row[p]
-                    y = row[q]
-                    u = c * x - szc * y
-                    v = sz * x + c * y
-                    row[p] = u
-                    row[q] = v
-                    row_p[i] = u.conjugate()
-                    row_q[i] = v.conjugate()
-            else:
-                for i, row in enumerate(a):
-                    x = row[p]
-                    y = row[q]
-                    u = c * x - s * y
-                    v = s * x + c * y
-                    row[p] = row_p[i] = u
-                    row[q] = row_q[i] = v
-            row_p[p] = app - t * r
-            row_q[q] = aqq + t * r
-            row_p[q] = row_q[p] = 0.0
+    p_count, d, _ = a.shape
+    diag = np.empty((p_count, d))
+    off = np.empty((p_count, d - 1))
+    for k in range(d - 1):
+        diag[:, k] = a[:, 0, 0].real
+        # scaled by a power of two, the column's squares cannot underflow
+        scale = _power_of_two_scale(a[:, 1:, 0])
+        v = a[:, 1:, 0] * scale
+        norm = np.linalg.norm(v, axis=1)
+        off[:, k] = norm / scale[:, 0]
+        # v = x + phase(x0)|x| e1 adds in its first entry, never cancels, and
+        # has norm sqrt(2|x|(|x| + |x0|)); dividing by |x0| < TINY could
+        # overflow, and such an x0 is negligible beside |x|, so it takes phase 1
+        r0 = np.abs(v[:, 0])
+        small = r0 < TINY
+        v[:, 0] += (v[:, 0] + small) / (r0 + small) * norm
+        length = np.sqrt(2.0 * norm * (norm + r0))
+        v /= np.where(length > 0.0, length, 1.0)[:, None]
+        rest = a[:, 1:, 1:]
+        p = np.einsum("pij,pj->pi", rest, v)
+        w = p - np.einsum("pi,pi->p", v.conj(), p).real[:, None] * v
+        a = rest - 2.0 * (
+            v[:, :, None] * w.conj()[:, None, :] + w[:, :, None] * v.conj()[:, None, :]
+        )
+    diag[:, d - 1] = a[:, 0, 0].real
+    return diag, off
 
 
-def jacobi_eigvals(a, tol, max_sweeps):
-    """Eigenvalues of a Hermitian matrix by the cyclic Jacobi method.
+def _ordered(bits: np.ndarray) -> np.ndarray:
+    """Swap float64 bit patterns (as int64) and integers in the order of the
+    floats, by inverting the magnitude bits of negative floats (an involution)."""
+    return bits ^ ((bits >> 63) & 0x7FFFFFFFFFFFFFFF)
 
-    ``a`` is a square float64 (real symmetric) or complex128 (Hermitian)
-    ndarray; only its upper triangle and the real part of its diagonal
-    are read, and ``a`` itself is left unchanged.  Sweeps run until the
-    off-diagonal Frobenius norm is at most ``tol`` or ``max_sweeps`` sweeps
-    have run.  Returns ``(levels, sweeps, off)``: the eigenvalues as an
-    unsorted float64 array, the number of sweeps run and the final
-    off-diagonal norm.
+
+def _counts_below(a, b2, x):
+    """Levels below ``x`` (P, L) of each tridiagonal matrix: negative pivots
+    of the Sturm sequence of diagonal ``a`` (P, d) and squared off-diagonal
+    ``b2`` (P, d - 1).  An exact zero pivot is not counted, so a level that
+    is a float is bracketed from below by itself.  A pivot below ``TINY``
+    in modulus takes that modulus, keeping its sign, which keeps ``b2 / q``
+    finite for ``b2 < 1``.  No entry of ``a`` may be -0.0: then no pivot is
+    -0.0, and the sign a pivot is counted with is the one it keeps.
     """
-    hermitian = np.iscomplexobj(a)
-    rows = a.tolist()
-    for p, row in enumerate(rows):
-        row[p] = row[p].real
-        for q in range(p + 1, len(rows)):
-            rows[q][p] = row[q].conjugate()
-    sweeps = 0
-    off = _off_norm(rows)
-    while off > tol and sweeps < max_sweeps:
-        _sweep(rows, hermitian)
-        sweeps += 1
-        off = _off_norm(rows)
-    levels = np.array([row[p] for p, row in enumerate(rows)], dtype=np.float64)
-    return levels, sweeps, off
+    negative = np.empty((a.shape[1],) + x.shape, dtype=bool)
+    shifted = a[:, :, None] - x[:, None, :]
+    q = shifted[:, 0].copy()
+    size = np.empty_like(q)
+    for i in range(a.shape[1]):
+        if i:
+            np.divide(b2[:, i - 1 : i], q, out=q)
+            np.subtract(shifted[:, i], q, out=q)
+        np.less(q, 0.0, out=negative[i])
+        np.maximum(np.abs(q, out=size), TINY, out=size)
+        np.copysign(size, q, out=q)
+    return negative.sum(axis=0)
+
+
+def tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of real symmetric tridiagonal matrices.
+
+    ``diag`` (P, d) holds the finite diagonals and ``off`` (P, d - 1) the
+    finite off-diagonals; only ``|off|`` matters.  Returns the (P, d)
+    levels, ascending in each row.
+
+    Each matrix is scaled by a power of two (exact) so its entries are
+    below 1/2 in modulus and, by Gershgorin, its levels lie inside
+    (-3/2, 3/2).  Every level of every matrix is then bisected at once on
+    Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) from the
+    bracket [-7/4, 7/4], halving in the order of the floats
+    (:func:`_ordered`) rather than of their values, so ``HALVINGS`` steps
+    always end on two adjacent floats.  The lower one is returned: a level
+    that is a float, such as an entry of a diagonal matrix, comes back
+    exactly.
+    """
+    scale = 0.5 * _power_of_two_scale(np.concatenate([diag, off], axis=1))
+    a = diag * scale + 0.0  # turns -0.0 into 0.0, see _counts_below
+    b2 = (off * scale) ** 2
+    level = np.arange(a.shape[1])
+    lo = np.full(a.shape, _ordered(np.float64(-1.75).view(np.int64)))
+    hi = np.full(a.shape, _ordered(np.float64(1.75).view(np.int64)))
+    for _ in range(HALVINGS):
+        mid = (lo + hi) >> 1
+        above = _counts_below(a, b2, _ordered(mid).view(np.float64)) > level
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.sort(_ordered(lo).view(np.float64) / scale, axis=1)
+
+
+def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of Hermitian matrices, shape (P, d, d).
+
+    ``a`` is finite float64 (real symmetric) or complex128 (Hermitian) and
+    is left unchanged.  Each matrix is scaled by a power of two (exact) so
+    its largest entry is below 1, reduced by :func:`_tridiagonalize` and
+    bisected by :func:`tridiagonal_eigvals`.  Returns the (P, d) levels,
+    ascending in each row.
+    """
+    scale = _power_of_two_scale(a)
+    return tridiagonal_eigvals(*_tridiagonalize(a * scale)) / scale[:, :, 0]

@@ -16,10 +16,8 @@ amplitude and its conjugate transpose.  Since the flux enters only through
 ``exp(-2j*pi*phi/N)``, the whole spectrum is periodic in ``phi`` with
 period ``N``.
 
-Eigenvalues are computed with the in-house cyclic Jacobi solver from
-:mod:`moebius_csr._kernels`.  Real symmetric input is rotated by its real
-pivots; complex Hermitian input by the modulus of each pivot after its
-phase is taken out, so the solver never works on more than ``2NM`` rows.
+Eigenvalues come from the in-house solver of :mod:`moebius_csr._kernels`
+(Householder reduction to real tridiagonal form, then Sturm bisection).
 
 :func:`flux_sweep` avoids the dense matrix whenever the on-site energies
 are constant along each wire (``epsilon`` is None or all its rows are
@@ -33,9 +31,15 @@ The spectrum at flux ``phi`` is then
 
     { -2*t1*cos(pi*q/N - 2*pi*phi/N) + lambda_j(T_{q mod 2}) }.
 
-A whole sweep costs two ``M x M`` eigenproblems (one on a cylinder, where
-``T_0 = T_1``) plus one band fill over the whole ``(phi, q)`` grid.
-Wire-varying ``epsilon`` breaks the symmetry and takes the dense path.
+With one energy ``eps`` on every site the chain levels are closed-form
+(path-graph spectra): ``eps - 2*t2*cos(pi*l/(2M+1))``, ``l = 1..2M``, on a
+Moebius strip, odd ``l`` for ``T_0`` and even ``l`` for ``T_1`` (an
+untwisted ladder of width ``2M`` with its transverse parity locked to that
+of ``q``), and ``eps - 2*t2*cos(pi*j/(M+1))``, ``j = 1..M``, on a cylinder,
+where ``T_0 = T_1``.  Energies that differ between wires bisect the two
+tridiagonal chains.  A sweep then costs one band fill over the whole
+``(phi, q)`` grid.  An ``epsilon`` that varies along a wire breaks the
+symmetry and takes the dense path.
 """
 
 from __future__ import annotations
@@ -45,15 +49,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import jacobi_eigvals
+from ._kernels import hermitian_eigvals, tridiagonal_eigvals
 from .lattice import EdgeKind, MoebiusLattice, Topology
 
-# convergence contract of the Jacobi solver: absolute off-diagonal
-# Frobenius norm OFF_DIAG_TOL, hard sweep cap MAX_SWEEPS
-OFF_DIAG_TOL = 1e-12
-MAX_SWEEPS = 100
-# most levels one band fill of flux_sweep holds at once (8 bytes each)
-FILL_LEVELS = 1 << 16
+# most bytes one block of flux_sweep holds: its levels on the Bloch path,
+# its matrices on the dense path
+BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,19 +115,13 @@ def assemble(lattice: MoebiusLattice, params: HoppingParams) -> np.ndarray:
     return h
 
 
-def eigenvalues(
-    h: np.ndarray,
-    *,
-    tol: float = OFF_DIAG_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> np.ndarray:
+def eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Rejects non-square, non-finite and non-Hermitian input (tolerance
     ``1e-12`` relative to the largest entry).  Input with a nonzero
     imaginary part is solved as complex Hermitian, anything else as real
-    symmetric.  Raises ValueError if Jacobi stops at ``max_sweeps`` with
-    an off-diagonal norm still above ``tol``.
+    symmetric.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
@@ -138,20 +133,8 @@ def eigenvalues(
     if defect > 1e-12 * max(1.0, scale):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 
-    if np.iscomplexobj(h) and np.any(h.imag):
-        a = np.asarray(h, dtype=np.complex128)
-    else:
-        a = np.asarray(h.real, dtype=np.float64)
-    w, sweeps, off = jacobi_eigvals(a, tol, max_sweeps)
-    if not off <= tol:
-        n = a.shape[0]
-        raise ValueError(
-            f"Jacobi did not converge on a {n}x{n} matrix after {sweeps} "
-            f"sweeps (max_sweeps={max_sweeps}): off-diagonal norm {off:.3e} "
-            f"> tol {tol:.3e}"
-        )
-    w.sort()
-    return w
+    a = h.astype(np.complex128) if np.any(h.imag) else h.real.astype(np.float64)
+    return hermitian_eigvals(a[None])[0]
 
 
 def _check_filling(n_electrons, n_levels: int) -> None:
@@ -196,23 +179,28 @@ def total_energy(eigenvalues_: np.ndarray, n_electrons: int) -> float:
     return energy
 
 
-def _wire_chain_levels(
-    lattice: MoebiusLattice, params: HoppingParams, wire: np.ndarray
-) -> np.ndarray:
+def _chain_levels(lattice: MoebiusLattice, t2: float, wire: np.ndarray) -> np.ndarray:
     """Levels of ``T_0`` and ``T_1`` (module docstring), one row each.
 
     ``wire`` holds the on-site energy of each wire.  A cylinder has no
     twist term, so its single row serves every momentum.
+    Equal wire energies take the closed form; otherwise the chains are
+    bisected as the tridiagonal matrices they are.
     """
-    t2 = float(params.t2)
-    chain = np.diag(wire) - t2 * (np.eye(lattice.M, k=1) + np.eye(lattice.M, k=-1))
-    twists = (-t2, t2) if lattice.topology is Topology.MOEBIUS else (0.0,)
-    levels = []
-    for twist in twists:
-        twisted = chain.copy()
-        twisted[-1, -1] += twist
-        levels.append(eigenvalues(twisted))
-    return np.stack(levels)
+    M = lattice.M
+    moebius = lattice.topology is Topology.MOEBIUS
+    if np.all(wire == wire[0]):
+        shift = float(wire[0])
+        if moebius:
+            modes = np.arange(1, 2 * M + 1)
+            levels = shift - 2.0 * t2 * np.cos(np.pi * modes / (2 * M + 1))
+            return np.stack([levels[0::2], levels[1::2]])  # odd modes: T_0
+        modes = np.arange(1, M + 1)
+        return (shift - 2.0 * t2 * np.cos(np.pi * modes / (M + 1)))[None, :]
+    twists = (-t2, t2) if moebius else (0.0,)
+    diag = np.tile(wire, (len(twists), 1))
+    diag[:, -1] += twists
+    return tridiagonal_eigvals(diag, np.full((len(twists), M - 1), t2))
 
 
 def flux_sweep(
@@ -227,12 +215,12 @@ def flux_sweep(
     ``(phi, total_energy)``.
 
     When ``params.epsilon`` is None or equal in every row (constant along
-    each wire) the sweep takes the Bloch path of the module docstring:
-    two ``M x M`` Jacobi solves for the whole sweep, then one band fill
-    over all flux points at once.  Otherwise every flux point assembles
-    and solves the dense ``2NM x 2NM`` Hamiltonian.  Raises ValueError
-    when the band ``-2*t1*cos(...)`` or a ground-state energy overflows
-    float range.
+    each wire) the sweep takes the Bloch path of the module docstring: the
+    chain levels once for the whole sweep, then one band fill over all flux
+    points at once.  Otherwise every flux point assembles the dense
+    ``2NM x 2NM`` Hamiltonian, and each block of them is solved as one
+    stack.  Raises ValueError when the band ``-2*t1*cos(...)`` or a
+    ground-state energy overflows float range.
     """
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
@@ -249,27 +237,27 @@ def flux_sweep(
                 f"t1={params.t1!r} overflows the band -2*t1*cos(...)"
             )
         wire = np.zeros(lattice.M) if eps is None else eps[0]
-        chains = _wire_chain_levels(lattice, params, wire)
+        chains = _chain_levels(lattice, float(params.t2), wire)
         q = np.arange(2 * lattice.N)
         chain_of_q = chains[q % len(chains)]
         k = np.pi * q / lattice.N
+        point_bytes = 8 * lattice.n_sites
 
         def levels_at(part):
             band = width * np.cos(k - 2.0 * np.pi * part[:, None] / lattice.N)
             return (band[:, :, None] + chain_of_q).reshape(part.size, -1)
 
     else:
+        point_bytes = 16 * lattice.n_sites**2
 
         def levels_at(part):
-            return np.stack([
-                eigenvalues(assemble(lattice, replace(params, phi=float(phi))))
-                for phi in part
-            ])
+            return hermitian_eigvals(np.stack([
+                assemble(lattice, replace(params, phi=float(phi))) for phi in part
+            ]))
 
     out = np.empty((grid.size, 2), dtype=np.float64)
     out[:, 0] = grid
-    # bounds the level block of one fill on long grids of large strips
-    step = max(1, FILL_LEVELS // lattice.n_sites)
+    step = max(1, BLOCK_BYTES // point_bytes)
     for start in range(0, grid.size, step):
         rows = slice(start, start + step)
         out[rows, 1] = _filled_sums(levels_at(grid[rows]), n_electrons)

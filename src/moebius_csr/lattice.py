@@ -64,11 +64,6 @@ class MoebiusLattice:
     def n_sites(self) -> int:
         return 2 * self.N * self.M
 
-    @property
-    def ring_length(self) -> int:
-        """Number of sites around one wire."""
-        return 2 * self.N
-
     def validate_site(self, site: SiteCoord) -> None:
         n, m = site
         if not (1 <= n <= 2 * self.N and 1 <= m <= self.M):

@@ -13,10 +13,6 @@ from moebius_csr import _kernels
 from moebius_csr.hamiltonian import HoppingParams, assemble
 from moebius_csr.lattice import build_moebius
 
-TOL = 1e-12
-MAX_SWEEPS = 100
-
-
 def random_symmetric(rng, size):
     x = rng.normal(size=(size, size))
     return (x + x.T) / 2.0
@@ -29,13 +25,13 @@ def random_unitary(rng, size):
 
 
 def solve(a):
-    """Jacobi levels of ``a``, sorted, after checking the solver's contract."""
+    """Solver levels of ``a``, after checking the solver's contract."""
     before = a.copy()
-    levels, sweeps, off = _kernels.jacobi_eigvals(a, TOL, MAX_SWEEPS)
+    levels = _kernels.hermitian_eigvals(a[None])[0]
     assert np.array_equal(a, before)  # the input is only read
     assert levels.dtype == np.float64 and levels.shape == (a.shape[0],)
-    assert 0 <= sweeps <= MAX_SWEEPS and 0.0 <= off <= TOL
-    return np.sort(levels)
+    assert np.all(np.diff(levels) >= 0.0)
+    return levels
 
 
 def assert_matches_lapack(a):
@@ -44,13 +40,19 @@ def assert_matches_lapack(a):
     np.testing.assert_allclose(solve(a), want, rtol=0.0, atol=1e-12 * scale)
 
 
-def test_jacobi_real_symmetric_matches_lapack():
+def test_solver_real_symmetric_matches_lapack():
     rng = np.random.default_rng(13)
     for size in range(1, 41):
         assert_matches_lapack(random_symmetric(rng, size))
+    # a stack is solved in one call, every matrix to the same accuracy
+    stack = np.stack([random_symmetric(rng, 12) for _ in range(5)])
+    want = np.linalg.eigvalsh(stack)
+    np.testing.assert_allclose(
+        _kernels.hermitian_eigvals(stack), want, rtol=0.0, atol=1e-12 * np.abs(want).max()
+    )
 
 
-def test_jacobi_complex_hermitian_with_exact_degeneracies():
+def test_solver_complex_hermitian_with_exact_degeneracies():
     rng = np.random.default_rng(14)
     # levels with multiplicities 1 to 4, rotated by a random unitary
     for spectrum in ([2.0, 2.0], [-1.0, 0.5, 0.5, 0.5, 3.0], [0.0] * 3 + [1.5] * 4 + [-2.0]):
@@ -68,23 +70,25 @@ def test_jacobi_complex_hermitian_with_exact_degeneracies():
     assert_matches_lapack(assemble(build_moebius(3, 2), HoppingParams(t1=1.0, t2=0.4, phi=0.3)))
 
 
-def test_jacobi_diagonal_input_is_returned_untouched():
+def test_solver_diagonal_input_comes_back_exact():
     diag = np.array([3.0, -0.0, -1.5, 1e-300, 2.0])
     for a in (np.diag(diag), np.diag(diag).astype(complex)):
-        levels, sweeps, off = _kernels.jacobi_eigvals(a, TOL, MAX_SWEEPS)
-        assert sweeps == 0 and off == 0.0
-        assert np.array_equal(levels, diag)
+        assert np.array_equal(solve(a), np.sort(diag))
+    # a chain that has fallen apart into 1x1 blocks is diagonal too
+    levels = _kernels.tridiagonal_eigvals(diag[None], np.zeros((1, 4)))
+    assert np.array_equal(levels[0], np.sort(diag))
 
 
-def test_jacobi_tiny_pivot_point():
+def test_solver_tiny_pivot_point():
     # the Moebius (4,1) flux point whose Jacobi run met pivots small enough
-    # that (aqq - app) / (2 apq) used to overflow, and a first pivot far
-    # below its diagonal gap, with the gap of either sign
+    # to overflow a quotient, a first pivot far below its diagonal gap,
+    # with the gap of either sign, and off-diagonals whose squares underflow
     h = assemble(build_moebius(4, 1), HoppingParams(t1=1.0, t2=0.9, phi=4.4691543028184295))
     tiny = np.array([[0.0, 1e-300, 1.0], [1e-300, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    graded = np.array([[1.0, 1e-160, 1e-160], [1e-160, 0.5, 0.3], [1e-160, 0.3, -0.2]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a in (h, h.real.copy(), tiny, tiny[::-1, ::-1].copy()):
+        for a in (h, h.real.copy(), tiny, tiny[::-1, ::-1].copy(), graded):
             assert_matches_lapack(a)
 
 

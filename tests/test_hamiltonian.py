@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ring_dispersion
 import moebius_csr.hamiltonian as hamiltonian
@@ -93,8 +95,8 @@ def test_ring_plus_antipodal_chords_is_complete_graph():
 
 
 def test_degenerate_levels_survive_complex_embedding():
-    # complex Hermitian input with exactly degenerate levels: rotating by
-    # the phase of each pivot must keep both members of every tie
+    # complex Hermitian input with exactly degenerate levels: reducing it to
+    # real tridiagonal form must keep both members of every tie
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = 1j
     h[1, 0] = -1j
@@ -291,6 +293,71 @@ def test_clean_sweep_never_assembles(monkeypatch):
             monkeypatch.undo()
 
 
+def test_clean_sweep_never_calls_the_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver was called")
+
+    grid = np.linspace(0.0, 3.0, 7)
+    for lat in (build_moebius(3, 2), build_cylinder(3, 2)):
+        for eps in (None, np.full((6, 2), -0.7)):
+            params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
+            monkeypatch.setattr(hamiltonian, "hermitian_eigvals", forbidden)
+            monkeypatch.setattr(hamiltonian, "tridiagonal_eigvals", forbidden)
+            curve = flux_sweep(lat, params, grid, 5)
+            monkeypatch.undo()
+            want = _lapack_sweep(lat, params, grid, 5)
+            assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-12)
+    # energies that differ between wires still bisect the two chains
+    params = HoppingParams(t1=1.0, t2=0.5, epsilon=np.tile([0.2, -0.4], (6, 1)))
+    monkeypatch.setattr(hamiltonian, "tridiagonal_eigvals", forbidden)
+    with pytest.raises(AssertionError, match="solver"):
+        flux_sweep(build_moebius(3, 2), params, grid, 5)
+
+
+@pytest.mark.parametrize("t2", [0.5, -1.3, 2.0])
+def test_chain_closed_form_matches_lapack(t2):
+    for M in range(1, 30):
+        chain = -t2 * (np.eye(M, k=1) + np.eye(M, k=-1))
+        # T_0 and T_1 of a Moebius strip: -t2*(-1)**s on the outer wire
+        twisted = [chain + np.diag(np.eye(M)[-1] * -sign * t2) for sign in (1, -1)]
+        moebius = hamiltonian._chain_levels(build_moebius(1, M), t2, np.zeros(M))
+        cylinder = hamiltonian._chain_levels(build_cylinder(1, M), t2, np.zeros(M))
+        for levels, t in zip(moebius, twisted):
+            np.testing.assert_allclose(np.sort(levels), np.linalg.eigvalsh(t), rtol=0.0, atol=1e-13)
+        assert cylinder.shape == (1, M)
+        np.testing.assert_allclose(np.sort(cylinder[0]), np.linalg.eigvalsh(chain), rtol=0.0, atol=1e-13)
+        # one energy on every wire shifts every level by it
+        shifted = hamiltonian._chain_levels(build_moebius(1, M), t2, np.full(M, 0.3))
+        assert np.array_equal(shifted, 0.3 + moebius)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    build=st.sampled_from([build_moebius, build_cylinder]),
+    N=st.integers(1, 6),
+    M=st.integers(1, 4),
+    t1=st.floats(-2.0, 2.0),
+    t2=st.floats(-2.0, 2.0),
+    eps=st.none() | st.floats(-2.0, 2.0),
+    phi=st.floats(-10.0, 10.0),
+)
+def test_clean_sweep_matches_dense_fill_property(build, N, M, t1, t2, eps, phi):
+    lat = build(N, M)
+    epsilon = None if eps is None else np.full((2 * N, M), eps)
+    params = HoppingParams(t1=t1, t2=t2, phi=phi, epsilon=epsilon)
+    h = assemble(lat, params)
+    dense = np.linalg.eigvalsh(h)
+    fills = [np.cumsum(eigenvalues(h)), np.cumsum(dense)]
+    tol = 1e-12 * max(1.0, float(np.abs(dense).sum()))
+    # the flux enters through exp(-2j*pi*phi/N) and H(-phi) = conj(H(phi))
+    grid = [phi, phi + N, -phi]
+    for n_electrons in range(1, lat.n_sites + 1):
+        curve = flux_sweep(lat, params, grid, n_electrons)[:, 1]
+        for fill in fills:
+            assert abs(curve[0] - fill[n_electrons - 1]) <= tol
+        assert np.all(np.abs(curve - curve[0]) <= tol)
+
+
 def test_wire_varying_epsilon_sweep_takes_dense_path(monkeypatch):
     import moebius_csr.hamiltonian as hamiltonian
 
@@ -299,10 +366,10 @@ def test_wire_varying_epsilon_sweep_takes_dense_path(monkeypatch):
     eps[4, 1] += 0.3  # varies along wire 2
     params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
     grid = [0.0, 0.4, 2.2]
-    for n_electrons in (1, 6, 12):
+    for n_electrons in range(lat.n_sites + 1):
         curve = flux_sweep(lat, params, grid, n_electrons)
         want = _lapack_sweep(lat, params, grid, n_electrons)
-        assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-9)
+        assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-12)
     calls = []
     real_assemble = hamiltonian.assemble
 
@@ -345,8 +412,8 @@ def test_flux_sweep_raises_on_overflowing_hopping():
 
 
 def test_jacobi_tiny_pivot_raises_no_overflow_warning():
-    # a flux point whose Jacobi run meets pivots small enough that
-    # (aqq - app) / (2 apq) used to overflow
+    # a flux point where the former Jacobi solver met pivots small enough
+    # that (aqq - app) / (2 apq) overflowed
     lat = build_moebius(4, 1)
     h = assemble(lat, HoppingParams(t1=1.0, t2=0.9, phi=4.4691543028184295))
     with warnings.catch_warnings():
@@ -363,21 +430,10 @@ def test_eigenvalues_rejects_non_finite_input():
         eigenvalues(np.array([[1.0, complex(0, np.nan)], [0.0, 1.0]]))
 
 
-def test_eigenvalues_raises_when_jacobi_does_not_converge():
-    rng = np.random.default_rng(30)
-    a = rng.normal(size=(30, 30))
-    a = a + a.T
-    with pytest.raises(ValueError, match=r"30x30.*max_sweeps=1"):
-        eigenvalues(a, max_sweeps=1)
-    with pytest.raises(ValueError, match=r"after 3 sweeps"):
-        eigenvalues(a, max_sweeps=3)
-    assert np.allclose(eigenvalues(a), np.linalg.eigvalsh(a), atol=1e-9)
-
-
 def _per_point_bloch_sweep(lat, params, grid, n_electrons):
     # the Bloch path one flux point at a time: band, levels, then the
     # lowest levels summed by total_energy and by a 1-d NumPy sort and sum
-    chains = hamiltonian._wire_chain_levels(lat, params, np.zeros(lat.M))
+    chains = hamiltonian._chain_levels(lat, params.t2, np.zeros(lat.M))
     q = np.arange(2 * lat.N)
     k = np.pi * q / lat.N
     energies = []
@@ -402,31 +458,32 @@ def test_grid_fill_equals_per_point_total_energy_bitwise(build, monkeypatch):
             got = flux_sweep(lat, params, grid, n_electrons)[:, 1]
             assert np.array_equal(got, want), (N, M, n_electrons)
     # fills of three flux points at a time give the same bits
-    monkeypatch.setattr(hamiltonian, "FILL_LEVELS", 3 * lat.n_sites)
+    monkeypatch.setattr(hamiltonian, "BLOCK_BYTES", 3 * 8 * lat.n_sites)
     want = _per_point_bloch_sweep(lat, params, grid, 20)
     assert np.array_equal(flux_sweep(lat, params, grid, 20)[:, 1], want)
 
 
 def test_eigenvalues_of_huge_entries_raise_no_overflow():
-    # squaring entries past ~1e154 overflowed the off-diagonal norm
+    # squares of entries past ~1e154 overflow and of entries below ~1e-154
+    # underflow, unless the solver scales the matrix first
     rng = np.random.default_rng(42)
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    cases = [
-        np.array([[0.0, 1e200], [1e200, 1.0]]),
-        1e200 * (x.real + x.real.T),
-        1e200 * (x + x.conj().T),
-    ]
-    for h in cases:
+    for size in (1e200, 1e-200):
+        wire = size * x.real[0]
+        chain = np.diag(wire) - size * (np.eye(6, k=1) + np.eye(6, k=-1))
+        twisted = [chain + np.diag(np.eye(6)[-1] * -sign * size) for sign in (1, -1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = eigenvalues(h)
-        want = np.linalg.eigvalsh(h)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
-    # an unconverged solve reports its off-diagonal norm as a finite number
-    x = rng.normal(size=(30, 30))
-    big = 1e200 * (x + x.T)
-    with pytest.raises(ValueError, match=r"off-diagonal norm \d\.\d{3}e\+2\d\d >"):
-        eigenvalues(big, max_sweeps=1)
+            solved = [(h, eigenvalues(h)) for h in (
+                np.array([[0.0, size], [size, min(size, 1.0)]]),
+                size * (x.real + x.real.T),
+                size * (x + x.conj().T),
+            )]
+            # the wire chains of a sweep go to the bisection without reduction
+            solved += zip(twisted, hamiltonian._chain_levels(build_moebius(1, 6), size, wire))
+        for h, got in solved:
+            want = np.linalg.eigvalsh(h)
+            np.testing.assert_allclose(np.sort(got), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_total_energy_overflow_raises_without_warnings():
