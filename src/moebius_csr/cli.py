@@ -84,17 +84,12 @@ def _load_scenario(args) -> decision.CsrScenario:
     if not isinstance(data, dict):
         raise ValueError("scenario file must hold a JSON object")
     scenario = decision.CsrScenario.from_dict(data)
-
-    overrides = {}
-    for field in ("N", "M", "a", "k", "beta", "delta", "p", "w"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "loyalty_exponent", None) is not None:
-        overrides["loyalty_exponent"] = args.loyalty_exponent
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario
+    overrides = {
+        name: getattr(args, name)
+        for _, name, _ in decision.SCENARIO_KEYS
+        if getattr(args, name, None) is not None
+    }
+    return replace(scenario, **overrides) if overrides else scenario
 
 
 def _build_lattice(args):
@@ -148,36 +143,23 @@ def _cmd_optimize(args) -> int:
         dump = json.dumps(scenario.to_dict(), sort_keys=True, indent=2) + "\n"
         _write_text(args.dump_config, dump)
     report = decision.optimize_constrained(scenario)
-
-    stationary = "" if report.stationary is None else _fmt(report.stationary)
-    kind = "" if report.stationary_kind is None else report.stationary_kind.value
-    feasible = "true" if report.feasible else "false"
+    kind = report.stationary_kind
+    pairs = [
+        ("case", report.case.value),
+        ("c_star_paper", "" if report.stationary is None else _fmt(report.stationary)),
+        ("kind", "" if kind is None else kind.value),
+        ("c_opt", _fmt(report.constrained_opt)),
+        ("H_opt", _fmt(report.objective_at_opt)),
+        ("feasible", "true" if report.feasible else "false"),
+    ]
+    if args.oracle_points is not None:
+        c_ref, h_ref = decision.optimize_oracle(scenario, args.oracle_points)
+        pairs += [("c_oracle", _fmt(c_ref)), ("H_oracle", _fmt(h_ref))]
     if args.csv:
-        row = ",".join(
-            [
-                report.case.value,
-                stationary,
-                kind,
-                _fmt(report.constrained_opt),
-                _fmt(report.objective_at_opt),
-                feasible,
-            ]
-        )
-        text = "case,c_star_paper,kind,c_opt,H_opt,feasible\n" + row + "\n"
+        keys, values = zip(*pairs)
+        text = ",".join(keys) + "\n" + ",".join(values) + "\n"
     else:
-        lines = [
-            f"case={report.case.value}",
-            f"c_star_paper={stationary}",
-            f"kind={kind}",
-            f"c_opt={_fmt(report.constrained_opt)}",
-            f"H_opt={_fmt(report.objective_at_opt)}",
-            f"feasible={feasible}",
-        ]
-        if args.oracle_points is not None:
-            c_ref, h_ref = decision.optimize_oracle(scenario, args.oracle_points)
-            lines.append(f"c_oracle={_fmt(c_ref)}")
-            lines.append(f"H_oracle={_fmt(h_ref)}")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{key}={value}\n" for key, value in pairs)
     _write_text(args.out, text)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
@@ -259,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="constrained decision for a scenario")
     p_opt.add_argument("--scenario", required=True, help="scenario JSON file")
     p_opt.add_argument(
-        "--loyalty-exponent",
-        type=int,
-        choices=[2, 4],
-        default=None,
-        help="override the scenario's lambda",
-    )
-    p_opt.add_argument(
         "--oracle-points",
         type=int,
         default=None,
@@ -283,18 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the effective scenario JSON (after overrides) to FILE",
     )
-    for field, kind in (
-        ("N", int),
-        ("M", int),
-        ("a", float),
-        ("k", float),
-        ("beta", float),
-        ("delta", float),
-        ("p", float),
-        ("w", float),
-    ):
+    for key, name, kind in decision.SCENARIO_KEYS:
         p_opt.add_argument(
-            f"--{field}", type=kind, default=None, help=f"override scenario {field}"
+            "--" + name.replace("_", "-"),
+            type=kind,
+            choices=decision.LOYALTY_EXPONENTS if key == "lambda" else None,
+            default=None,
+            help=f"override scenario {key}",
         )
     add_out(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)

@@ -46,9 +46,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
+
+from .lattice import is_int
 
 
 class BetaRegime(enum.Enum):
@@ -65,7 +68,41 @@ class StationaryKind(enum.Enum):
     FLAT_DERIVATIVE = "FlatDerivative"
 
 
-_SCENARIO_KEYS = ("N", "M", "a", "k", "beta", "delta", "p", "w", "lambda")
+# Each scenario-file key, the CsrScenario field it sets and that field's
+# type.  A key whose field has a default (``lambda``) may be left out.
+SCENARIO_KEYS = (
+    ("N", "N", int),
+    ("M", "M", int),
+    ("a", "a", float),
+    ("k", "k", float),
+    ("beta", "beta", float),
+    ("delta", "delta", float),
+    ("p", "p", float),
+    ("w", "w", float),
+    ("lambda", "loyalty_exponent", int),
+)
+
+_FLOAT_FIELDS = tuple(name for _, name, kind in SCENARIO_KEYS if kind is float)
+
+LOYALTY_EXPONENTS = (2, 4)
+
+
+def _scenario_value(key: str, value, kind: type):
+    """``value`` of scenario-file ``key`` converted to ``kind``.
+
+    Raises ValueError naming the key unless ``value`` is a real number
+    other than a bool and, for an int field, finite and integral.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if kind is float:
+                return float(value)
+            if value == math.floor(value):
+                return int(value)
+        except (OverflowError, ValueError):  # past float range, inf or nan
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ValueError(f"scenario key {key} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,13 +127,10 @@ class CsrScenario:
     loyalty_exponent: int = 4
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but N=True is no strip size
         for name, value in (("N", self.N), ("M", self.M)):
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, np.integer)) and value >= 1
-            ):
+            if not (is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("a", "k", "beta", "delta", "p", "w"):
+        for name in _FLOAT_FIELDS:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -110,44 +144,41 @@ class CsrScenario:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.p < 0.0 or self.w < 0.0:
             raise ValueError("p and w must be >= 0")
-        if self.loyalty_exponent not in (2, 4):
+        if self.loyalty_exponent not in LOYALTY_EXPONENTS:
             raise ValueError(
                 f"loyalty exponent must be 2 or 4, got {self.loyalty_exponent!r}"
             )
 
     @classmethod
     def from_dict(cls, data: dict) -> "CsrScenario":
-        """Build from a plain mapping; the loyalty exponent key is ``lambda``."""
-        unknown = sorted(set(data) - set(_SCENARIO_KEYS))
+        """Build from a scenario-file mapping keyed as in ``SCENARIO_KEYS``.
+
+        Every value must be a real number (NumPy scalars included), never a
+        bool.  ``N``, ``M`` and ``lambda`` must also be finite and integral,
+        so ``10.0`` loads as 10; ``lambda`` may be left out and defaults to
+        4.  Anything else raises ValueError naming the key.
+        """
+        unknown = sorted(set(data) - {key for key, _, _ in SCENARIO_KEYS})
         if unknown:
             raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
-        missing = sorted(set(_SCENARIO_KEYS[:-1]) - set(data))
+        optional = {f.name for f in fields(cls) if f.default is not MISSING}
+        missing = sorted(
+            key
+            for key, name, _ in SCENARIO_KEYS
+            if key not in data and name not in optional
+        )
         if missing:
             raise ValueError(f"missing scenario keys: {', '.join(missing)}")
         return cls(
-            N=int(data["N"]),
-            M=int(data["M"]),
-            a=float(data["a"]),
-            k=float(data["k"]),
-            beta=float(data["beta"]),
-            delta=float(data["delta"]),
-            p=float(data["p"]),
-            w=float(data["w"]),
-            loyalty_exponent=int(data.get("lambda", 4)),
+            **{
+                name: _scenario_value(key, data[key], kind)
+                for key, name, kind in SCENARIO_KEYS
+                if key in data
+            }
         )
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "M": self.M,
-            "a": self.a,
-            "k": self.k,
-            "beta": self.beta,
-            "delta": self.delta,
-            "p": self.p,
-            "w": self.w,
-            "lambda": self.loyalty_exponent,
-        }
+        return {key: getattr(self, name) for key, name, _ in SCENARIO_KEYS}
 
 
 @dataclass(frozen=True)
@@ -197,18 +228,6 @@ def _objective(scenario: CsrScenario):
         return k * np.power(c * a, beta) * a * a * nb - slope * c
 
     return h
-
-
-def _checked(h):
-    """``h`` for one float outlay, returning a float; rejects ``c < 0`` and
-    non-finite ``c`` like :func:`hcsr_of_c`."""
-
-    def h_scalar(c: float) -> float:
-        if not (math.isfinite(c) and c >= 0.0):
-            raise ValueError(f"c must be finite and >= 0, got {c!r}")
-        return float(h(c))
-
-    return h_scalar
 
 
 def hcsr_of_c(c, scenario: CsrScenario):
@@ -343,14 +362,14 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
             candidates.append(stationary)
         candidates.append(budget)
 
-    h_of = _checked(_objective(s))
+    h = _objective(s)
     with np.errstate(over="ignore"):
         best_c = candidates[0]
-        best_h = h_of(best_c)
+        best_h = float(h(best_c))
         for c in candidates[1:]:
-            h = h_of(c)
-            if h > best_h:
-                best_c, best_h = c, h
+            value = float(h(c))
+            if value > best_h:
+                best_c, best_h = c, value
 
     return DecisionReport(
         stationary=stationary,
@@ -376,29 +395,24 @@ def optimize_oracle(
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
     h = _objective(s)
-    h_of = _checked(h)
     with np.errstate(over="ignore"):
+        best_h = float(h(0.0))
         if budget == 0.0:
-            return 0.0, h_of(0.0)
+            return 0.0, best_h
 
         grid = np.linspace(0.0, budget, grid_points)
         values = h(grid)
         peak = int(np.argmax(values))
         lo = float(grid[max(peak - 1, 0)])
         hi = float(grid[min(peak + 1, grid_points - 1)])
-        refined = _golden_max(h_of, lo, hi, tol=1e-10 * max(1.0, budget))
+        refined = _golden_max(h, lo, hi, tol=1e-10 * max(1.0, budget))
 
         best_c = 0.0
-        best_h = h_of(0.0)
         for c in sorted({float(grid[peak]), refined, budget}):
-            h = h_of(c)
-            if h > best_h:
-                best_c, best_h = c, h
+            value = float(h(c))
+            if value > best_h:
+                best_c, best_h = c, value
     return best_c, best_h
-
-
-def _with_param(scenario: CsrScenario, param: str, value: float) -> CsrScenario:
-    return replace(scenario, **{param: value})
 
 
 def comparative_statics(
@@ -427,8 +441,8 @@ def comparative_statics(
     center = float(getattr(s, param))
     for h in (step, step / 2.0):
         try:
-            s_hi = _with_param(s, param, center + h)
-            s_lo = _with_param(s, param, center - h)
+            s_hi = replace(s, **{param: center + h})
+            s_lo = replace(s, **{param: center - h})
         except ValueError:
             continue
         if param == "beta" and (s_hi.beta - 1.0) * (s_lo.beta - 1.0) <= 0.0:

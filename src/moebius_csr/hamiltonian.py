@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import hermitian_eigvals, tridiagonal_eigvals
-from .lattice import EdgeKind, MoebiusLattice, Topology
+from .lattice import EdgeKind, MoebiusLattice, Topology, is_int
 
 # most bytes one block of flux_sweep holds: its levels on the Bloch path,
 # its matrices on the dense path
@@ -138,8 +138,8 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
 
 
 def _check_filling(n_electrons, n_levels: int) -> None:
-    if not isinstance(n_electrons, (int, np.integer)):
-        raise ValueError("n_electrons must be an integer")
+    if not is_int(n_electrons):
+        raise ValueError(f"n_electrons must be an integer, got {n_electrons!r}")
     if not (0 <= n_electrons <= n_levels):
         raise ValueError(
             f"n_electrons must be in 0..{n_levels}, got {n_electrons}"
@@ -235,6 +235,10 @@ def flux_sweep(
         if not math.isfinite(width):
             raise ValueError(
                 f"t1={params.t1!r} overflows the band -2*t1*cos(...)"
+            )
+        if not math.isfinite(-2.0 * params.t2):
+            raise ValueError(
+                f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)"
             )
         wire = np.zeros(lattice.M) if eps is None else eps[0]
         chains = _chain_levels(lattice, float(params.t2), wire)

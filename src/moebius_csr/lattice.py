@@ -20,8 +20,16 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import NamedTuple
+
+
+def is_int(value) -> bool:
+    """The package's rule for a count (a strip size, a filling): an int or a
+    NumPy integer, never a bool."""
+    # int listed first skips the slower abstract-class check in the common case
+    return not isinstance(value, bool) and isinstance(value, (int, numbers.Integral))
 
 
 class EdgeKind(enum.Enum):
@@ -52,13 +60,12 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class MoebiusLattice:
-    """Immutable strip lattice with a precomputed adjacency table."""
+    """Immutable strip lattice; ``edges`` is its whole graph."""
 
     N: int
     M: int
     topology: Topology
     edges: tuple[Edge, ...]
-    _adjacency: dict = field(repr=False, compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -86,11 +93,18 @@ class MoebiusLattice:
     def neighbors(self, site: SiteCoord) -> tuple[tuple[SiteCoord, EdgeKind], ...]:
         """Bond endpoints incident to ``site``, one entry per bond.
 
-        Doubled bonds (the N = 1 ring) appear once per stored edge, so the
-        entry count always equals the site's bond degree.
+        Entries follow the order of ``edges``.  Doubled bonds (the N = 1
+        ring) appear once per stored edge, so the entry count always equals
+        the site's bond degree.
         """
         self.validate_site(site)
-        return self._adjacency[site]
+        found = []
+        for kind, a, b in self.edges:
+            if a == site:
+                found.append((b, kind))
+            elif b == site:
+                found.append((a, kind))
+        return tuple(found)
 
     def edge_counts(self) -> dict[EdgeKind, int]:
         counts = {kind: 0 for kind in EdgeKind}
@@ -120,8 +134,9 @@ class MoebiusLattice:
 
 
 def _build(N: int, M: int, topology: Topology) -> MoebiusLattice:
-    if not (isinstance(N, int) and isinstance(M, int)):
+    if not (is_int(N) and is_int(M)):
         raise ValueError("N and M must be integers")
+    N, M = int(N), int(M)
     if N < 1 or M < 1:
         raise ValueError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
 
@@ -141,20 +156,7 @@ def _build(N: int, M: int, topology: Topology) -> MoebiusLattice:
     if topology is Topology.MOEBIUS:
         for n in range(1, N + 1):
             edges.append(Edge(EdgeKind.TWIST, SiteCoord(n, M), SiteCoord(n + N, M)))
-
-    adjacency: dict[SiteCoord, list[tuple[SiteCoord, EdgeKind]]] = {
-        SiteCoord(n, m): []
-        for m in range(1, M + 1)
-        for n in range(1, ring + 1)
-    }
-    for kind, a, b in edges:
-        adjacency[a].append((b, kind))
-        adjacency[b].append((a, kind))
-    frozen = {site: tuple(pairs) for site, pairs in adjacency.items()}
-
-    return MoebiusLattice(
-        N=N, M=M, topology=topology, edges=tuple(edges), _adjacency=frozen
-    )
+    return MoebiusLattice(N=N, M=M, topology=topology, edges=tuple(edges))
 
 
 def build_moebius(N: int, M: int) -> MoebiusLattice:

@@ -114,6 +114,20 @@ def test_optimize_oracle_lines(capsys, scenario_file):
     assert lines[-1] == "H_oracle=5.347265625"
 
 
+def test_optimize_csv_oracle_columns(capsys, scenario_file):
+    argv = [
+        "optimize", "--scenario", scenario_file,
+        "--beta", "0.5", "--oracle-points", "2001", "--csv",
+    ]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    scenario = replace(decision.CsrScenario.from_dict(S0_DATA), beta=0.5)
+    c_ref, h_ref = decision.optimize_oracle(scenario, 2001)
+    header, row = out.splitlines()
+    assert header == OPTIMIZE_S1_CSV.splitlines()[0] + ",c_oracle,H_oracle"
+    assert row == OPTIMIZE_S1_CSV.splitlines()[1] + ",%.12g,%.12g" % (c_ref, h_ref)
+
+
 def test_optimize_infeasible_exit_code(capsys, scenario_file, tmp_path):
     out_file = tmp_path / "report.txt"
     argv = [
@@ -350,6 +364,33 @@ def test_unknown_scenario_key_is_domain_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
     assert code == 2
     assert err.startswith("error: unknown scenario keys: oops")
+
+
+def test_non_integral_size_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for text in ("Infinity", "2.5"):
+        path.write_text(
+            json.dumps(S0_DATA).replace('"N": 10', '"N": ' + text), encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: scenario key N must be an integer, got {float(text)}\n"
+
+
+def test_integral_float_size_loads_as_int(capsys, tmp_path):
+    dumps = []
+    for text in ("10", "10.0"):
+        path = tmp_path / f"s{text}.json"
+        path.write_text(
+            json.dumps(S0_DATA).replace('"N": 10', '"N": ' + text), encoding="utf-8"
+        )
+        cfg = tmp_path / f"effective{text}.json"
+        argv = ["optimize", "--scenario", str(path), "--dump-config", str(cfg)]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, OPTIMIZE_S0_REPORT)
+        dumps.append(cfg.read_bytes())
+    assert dumps[0] == dumps[1]
+    assert b'"N": 10,' in dumps[0]
 
 
 def test_non_object_scenario_is_domain_error(capsys, tmp_path):

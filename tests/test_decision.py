@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import bisect_root, random_scenario
 from moebius_csr import csr_cost
 from moebius_csr.decision import (
+    SCENARIO_KEYS,
     BetaRegime,
     CsrScenario,
     StationaryKind,
@@ -73,6 +74,51 @@ def test_scenario_dict_round_trip(s0):
         CsrScenario.from_dict({**data, "extra": 1.0})
     with pytest.raises(ValueError):
         CsrScenario.from_dict({k: v for k, v in data.items() if k != "beta"})
+
+
+def test_from_dict_takes_real_numbers_only(s0):
+    data = s0.to_dict()
+    integral = [
+        (key, bad)
+        for key in ("N", "M", "lambda")
+        for bad in (2.5, True, "3", math.inf, math.nan, None)
+    ]
+    real = [
+        (key, bad)
+        for key in ("a", "k", "beta", "delta", "p", "w")
+        for bad in (True, "0.5", None, 10**400)
+    ]
+    for key, bad in integral + real:
+        with pytest.raises(ValueError, match=f"^scenario key {key} must be"):
+            CsrScenario.from_dict({**data, key: bad})
+    # integral floats and NumPy scalars load; float fields stay float
+    loaded = CsrScenario.from_dict(
+        {**data, "N": 10.0, "M": np.int64(2), "k": 2, "p": np.float32(3.0),
+         "lambda": np.float64(2.0)}
+    )
+    assert loaded == replace(s0, loyalty_exponent=2)
+    for name, kind in (("N", int), ("M", int), ("loyalty_exponent", int),
+                       ("k", float), ("p", float)):
+        assert type(getattr(loaded, name)) is kind
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from([key for key, _, _ in SCENARIO_KEYS]), json_values)
+def test_from_dict_raises_only_value_error_property(key, value):
+    base = CsrScenario(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.1, p=3.0, w=1.0)
+    try:
+        scenario = CsrScenario.from_dict({**base.to_dict(), key: value})
+    except ValueError:
+        return
+    assert scenario.to_dict()[key] == value
 
 
 def test_profit_baseline():

@@ -200,8 +200,12 @@ def test_total_energy():
     for bad in (-1, 5):
         with pytest.raises(ValueError):
             total_energy(w, bad)
-    with pytest.raises(ValueError):
-        total_energy(w, 1.5)
+    for bad in (1.5, True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="integer"):
+            total_energy(w, bad)
+    assert total_energy(w, np.int64(2)) == -2.0
+    with pytest.raises(ValueError, match="integer"):
+        flux_sweep(build_moebius(2, 2), HoppingParams(t1=1.0, t2=0.5), [0.0], True)
     # sorting puts NaN last: a NaN level used to be dropped from the sum
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -409,6 +413,9 @@ def test_flux_sweep_raises_on_overflowing_hopping():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t1=5e"):
             flux_sweep(lat, HoppingParams(t1=5e307, t2=0.5), [0.0, 0.5], 8)
+    # -2*t2*cos(...) overflows the chain levels
+    with pytest.raises(ValueError, match="t2=1e"):
+        flux_sweep(lat, HoppingParams(t1=1.0, t2=1e308), [0.0], 2)
 
 
 def test_jacobi_tiny_pivot_raises_no_overflow_warning():

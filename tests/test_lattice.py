@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from moebius_csr.lattice import (
@@ -24,7 +25,7 @@ def edge_scan_neighbors(lat, site):
 def two_colorable(lat) -> bool:
     """BFS 2-coloring over the edge list (multi-edges are harmless)."""
     color = {}
-    for start in lat._adjacency:
+    for start in map(lat.site_at, range(lat.n_sites)):
         if start in color:
             continue
         color[start] = 0
@@ -188,8 +189,14 @@ def test_build_rejects_bad_sizes():
             build_moebius(*bad)
         with pytest.raises(ValueError):
             build_cylinder(*bad)
-    with pytest.raises(ValueError):
-        build_moebius(1.5, 2)
+    for bad in [(1.5, 2), (True, True), (2, False), ("2", 2)]:
+        with pytest.raises(ValueError, match="integers"):
+            build_moebius(*bad)
+    # NumPy integers are sizes, as in CsrScenario, and are stored as int
+    lat = build_moebius(np.int64(2), np.int32(2))
+    assert lat == build_moebius(2, 2)
+    assert type(lat.N) is int and type(lat.M) is int
+    assert lat.to_dot().startswith("graph moebius_N2_M2 {")
 
 
 def test_site_validation():
