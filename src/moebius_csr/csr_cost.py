@@ -18,7 +18,9 @@ cooperation.
 
 Every sum runs in a fixed order (row ``n`` outer, column ``m`` inner) with
 float64 accumulation, so results are bit-for-bit reproducible and the four
-addends recombine to the total exactly.  The sums are the ordered
+addends recombine to the total exactly.  :func:`total_hcsr` validates each
+matrix once and returns every addend as a field of :class:`CostBreakdown`;
+read the neighborhood, sector and loyalty terms from there.  The sums are the ordered
 ``np.cumsum`` kernels of :mod:`moebius_csr._kernels`, which equal naive
 row-major loops bit for bit.
 """
@@ -87,28 +89,6 @@ def validate_cost(c) -> np.ndarray:
     return arr
 
 
-def neighborhood_term(a, params: CsrParams) -> float:
-    """Discounted cooperation cost along each wire: t1*(1-delta)*sum_ring."""
-    arr = validate_contribution(a)
-    return params.t1 * (1.0 - params.delta) * sum_ring_products(arr)
-
-
-def sector_term(a, params: CsrParams) -> float:
-    """Cooperation cost across adjacent wires: t2*sum_rung."""
-    arr = validate_contribution(a)
-    return params.t2 * sum_rung_products(arr)
-
-
-def loyalty_term(a, params: CsrParams) -> float:
-    """Cooperation cost of half-turn partners on the outermost wire.
-
-    The raw antipodal sum counts each pair twice; the t2/2 prefactor makes
-    the term single-counted.
-    """
-    arr = validate_contribution(a)
-    return (params.t2 / 2.0) * sum_antipodal_products(arr)
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """The four addends of the cost functional and their exact sum.
@@ -133,9 +113,10 @@ def total_hcsr(a, c, params: CsrParams) -> CostBreakdown:
             f"shape mismatch: contributions {arr_a.shape} vs costs {arr_c.shape}"
         )
     cost = -sum_all(arr_c)
-    neighborhood = neighborhood_term(arr_a, params)
-    sector = sector_term(arr_a, params)
-    loyalty = loyalty_term(arr_a, params)
+    neighborhood = params.t1 * (1.0 - params.delta) * sum_ring_products(arr_a)
+    sector = params.t2 * sum_rung_products(arr_a)
+    # the raw antipodal sum counts each pair twice; t2/2 single-counts it
+    loyalty = (params.t2 / 2.0) * sum_antipodal_products(arr_a)
     total = ((cost + neighborhood) + sector) + loyalty
     return CostBreakdown(
         cost=cost,

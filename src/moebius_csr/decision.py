@@ -19,22 +19,24 @@ gives the bracket
 
 so that  H'(c) = -2*N*M*a + beta*k*c**(beta - 1)*N*a**(2 + beta)*B.
 
-:func:`hcsr_of_c` evaluates H in the technology-rule grouping
+H and H' are evaluated in the technology-rule grouping
 
-    H(c) = t(c) * a * a * (N*B) - 2*N*M*a*c,
+    H(c)  = t(c) * a * a * (N*B) - 2*N*M*a*c,
+    H'(c) = beta * t(c) * a * a * (N*B) / c - 2*N*M*a,
 
-``t`` first and then left to right.  Each factor after ``t`` is finite, so
-H stays finite (or overflows to ``inf``) for as long as the cooperation
-weight does; the expanded form's ``c**beta * a**(2 + beta)`` gives
-``inf * 0 = nan`` when ``c**beta`` overflows while ``a**(2 + beta)``
-underflows.  The power is ``np.power`` on scalars and arrays alike, so a
-scalar evaluation equals the array evaluation bit for bit.
+``t`` first and then left to right, from one set of constants.  Each
+factor after ``t`` is finite (and ``t`` is 0 whenever ``a`` is), so H
+and H' stay finite or overflow to ``inf``, never ``nan``; the
+expanded form's ``c**beta * a**(2 + beta)`` gives ``inf * 0 = nan`` when
+``c**beta`` overflows while ``a**(2 + beta)`` underflows.  The power is
+``np.power`` on scalars and arrays alike, so a scalar evaluation equals
+the array evaluation bit for bit.
 
 The firm maximizes H over the budget interval ``0 <= c <= p - w`` (sale
-price minus wage).  The stationary point, when one exists, is
+price minus wage).  The stationary point, when one exists, is given on
+both sides of ``beta == 1`` by the one formula
 
-    c* = (2*M / (beta*k*a**(1 + beta)*B)) ** (1/(beta - 1))      beta > 1
-    c* = ((beta*k*a**(1 + beta)*B) / (2*M)) ** (1/(1 - beta))    beta < 1
+    c* = (2*M / (beta*k*a**(1 + beta)*B)) ** (1/(beta - 1)),
 
 a local minimum of H for ``beta > 1`` (the optimum then sits on a budget
 boundary) and a local maximum for ``beta < 1``.  For ``beta == 1`` the
@@ -82,8 +84,6 @@ SCENARIO_KEYS = (
     ("lambda", "loyalty_exponent", int),
 )
 
-_FLOAT_FIELDS = tuple(name for _, name, kind in SCENARIO_KEYS if kind is float)
-
 LOYALTY_EXPONENTS = (2, 4)
 
 
@@ -113,7 +113,9 @@ class CsrScenario:
     the common contribution level, ``k``/``beta`` the technology rule for
     the cooperation weights, ``delta`` the neighborhood discount, ``p``
     the sale price, ``w`` the wage, and ``loyalty_exponent`` the power of
-    ``a`` carried by the half-turn pairing (2 or 4).
+    ``a`` carried by the half-turn pairing (2 or 4).  Counts take ints or
+    NumPy integers (never bools or floats) and must keep ``4*N*M`` within
+    float range; every field is stored as the type ``SCENARIO_KEYS`` names.
     """
 
     N: int
@@ -127,13 +129,31 @@ class CsrScenario:
     loyalty_exponent: int = 4
 
     def __post_init__(self) -> None:
-        for name, value in (("N", self.N), ("M", self.M)):
-            if not (is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
+        # each field is stored as the type SCENARIO_KEYS names; a value of
+        # exactly that type (the common case, as in ``replace``) skips the
+        # conversion
+        for _, name, kind in SCENARIO_KEYS:
+            value = getattr(self, name)
+            if type(value) is not kind:
+                if kind is int and not is_int(value):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise ValueError(f"{name} must be a real number, got {value!r}")
+                try:
+                    value = kind(value)
+                except OverflowError:  # an int past float range
+                    value = math.inf
+                object.__setattr__(self, name, value)
+            if kind is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.N < 1 or self.M < 1:
+            raise ValueError(f"N and M must be >= 1, got N={self.N}, M={self.M}")
+        try:
+            size = 4.0 * self.N * self.M
+        except OverflowError:  # N past float range
+            size = math.inf
+        if not math.isfinite(size):
+            raise ValueError("N and M too large: 4*N*M must be a finite float")
         if not (0.0 <= self.a < 1.0):
             raise ValueError(f"a must lie in [0, 1), got {self.a}")
         if self.k <= 0.0:
@@ -214,10 +234,11 @@ def bracket(scenario: CsrScenario) -> float:
 
 
 def _objective(scenario: CsrScenario):
-    """H as a function of the outlay, with the scenario's constants computed once.
+    """``(h, dh)``: H and H' of the outlay, from constants computed once.
 
-    The returned ``h`` takes a float or a float64 array of outlays ``>= 0``
-    and does no checks.  Callers hold ``np.errstate(over="ignore")``.
+    Both take a float or a float64 array of outlays (``>= 0`` for ``h``,
+    ``> 0`` for ``dh``) and do no checks.  Callers hold
+    ``np.errstate(over="ignore")``.
     """
     s = scenario
     a, k, beta = s.a, s.k, s.beta
@@ -227,44 +248,35 @@ def _objective(scenario: CsrScenario):
     def h(c):
         return k * np.power(c * a, beta) * a * a * nb - slope * c
 
-    return h
+    def dh(c):
+        return beta * k * np.power(c * a, beta) * a * a * nb / c - slope
+
+    return h, dh
+
+
+def _at_outlays(f, c, positive: bool):
+    """``f(c)`` after checking that every outlay is finite and ``>= 0``
+    (``> 0`` when ``positive``); a float for scalar ``c``."""
+    arr = np.asarray(c, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("c must be finite")
+    if np.any(arr <= 0.0 if positive else arr < 0.0):
+        raise ValueError("c must be > 0" if positive else "c must be >= 0")
+    with np.errstate(over="ignore"):
+        value = f(arr)
+    if arr.ndim == 0:
+        return float(value)
+    return value
 
 
 def hcsr_of_c(c, scenario: CsrScenario):
     """Objective H(c); accepts a scalar or an array of outlays >= 0."""
-    arr = np.asarray(c, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("c must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("c must be >= 0")
-    with np.errstate(over="ignore"):
-        value = _objective(scenario)(arr)
-    if arr.ndim == 0:
-        return float(value)
-    return value
+    return _at_outlays(_objective(scenario)[0], c, positive=False)
 
 
 def dhcsr_dc(c, scenario: CsrScenario):
     """Derivative H'(c) for outlays > 0; scalar or array."""
-    s = scenario
-    arr = np.asarray(c, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("c must be finite")
-    if np.any(arr <= 0.0):
-        raise ValueError("c must be > 0")
-    with np.errstate(over="ignore"):
-        value = (
-            -2.0 * s.N * s.M * s.a
-            + s.beta
-            * s.k
-            * arr ** (s.beta - 1.0)
-            * s.N
-            * np.float64(s.a) ** (2.0 + s.beta)
-            * bracket(s)
-        )
-    if arr.ndim == 0:
-        return float(value)
-    return value
+    return _at_outlays(_objective(scenario)[1], c, positive=True)
 
 
 def beta_regime(scenario: CsrScenario) -> BetaRegime:
@@ -286,33 +298,31 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
     s = scenario
     if s.beta == 1.0 or s.a == 0.0:
         return None
-    b = bracket(s)
-    # a**(1 + beta) may underflow to 0, and the root is then inf
+    # a**(1 + beta) may underflow to 0; the base is then inf and the root
+    # inf (beta > 1) or 0 (beta < 1)
     with np.errstate(over="ignore", divide="ignore"):
-        if s.beta > 1.0:
-            base = np.float64(2.0 * s.M) / np.float64(
-                s.beta * s.k * np.float64(s.a) ** (1.0 + s.beta) * b
-            )
-            root = base ** (1.0 / (s.beta - 1.0))
-        else:
-            base = np.float64(
-                s.beta * s.k * np.float64(s.a) ** (1.0 + s.beta) * b
-            ) / np.float64(2.0 * s.M)
-            root = base ** (1.0 / (1.0 - s.beta))
+        base = np.float64(2.0 * s.M) / np.float64(
+            s.beta * s.k * np.float64(s.a) ** (1.0 + s.beta) * bracket(s)
+        )
+        root = base ** (1.0 / (s.beta - 1.0))
     return float(root)
+
+
+_STATIONARY_KIND = {
+    BetaRegime.BETA_ABOVE_ONE: StationaryKind.LOCAL_MIN,
+    BetaRegime.BETA_BELOW_ONE: StationaryKind.LOCAL_MAX,
+    BetaRegime.BETA_EQUAL_ONE: StationaryKind.FLAT_DERIVATIVE,
+}
 
 
 def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
     """Nature of the stationary point: minimum above the knife edge
     (``beta > 1``), maximum below it, constant derivative at ``beta == 1``.
-    Returns None when H has no stationary point (``a == 0``)."""
-    if scenario.beta == 1.0:
-        return StationaryKind.FLAT_DERIVATIVE
-    if scenario.a == 0.0:
+    Returns None when H has no stationary point (``a == 0``, ``beta != 1``)."""
+    regime = beta_regime(scenario)
+    if scenario.a == 0.0 and regime is not BetaRegime.BETA_EQUAL_ONE:
         return None
-    if scenario.beta > 1.0:
-        return StationaryKind.LOCAL_MIN
-    return StationaryKind.LOCAL_MAX
+    return _STATIONARY_KIND[regime]
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -362,7 +372,7 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
             candidates.append(stationary)
         candidates.append(budget)
 
-    h = _objective(s)
+    h = _objective(s)[0]
     with np.errstate(over="ignore"):
         best_c = candidates[0]
         best_h = float(h(best_c))
@@ -394,7 +404,7 @@ def optimize_oracle(
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
-    h = _objective(s)
+    h = _objective(s)[0]
     with np.errstate(over="ignore"):
         best_h = float(h(0.0))
         if budget == 0.0:

@@ -100,9 +100,7 @@ def assemble(lattice: MoebiusLattice, params: HoppingParams) -> np.ndarray:
     h = np.zeros((d, d), dtype=np.complex128)
 
     if eps is not None:
-        for index in range(d):
-            site = lattice.site_at(index)
-            h[index, index] = eps[site.n - 1, site.m - 1]
+        h[np.diag_indices(d)] = eps.T.ravel()  # wire-major, as site_index
 
     amp_long = -params.t1 * np.exp(-2j * np.pi * params.phi / lattice.N)
     amp_cross = complex(-params.t2)

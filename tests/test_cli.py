@@ -377,6 +377,16 @@ def test_non_integral_size_is_domain_error(capsys, tmp_path):
         assert err == f"error: scenario key N must be an integer, got {float(text)}\n"
 
 
+def test_size_past_float_range_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    for n, m in (("9" * 310, "2"), ("1e300", "1e10")):
+        text = json.dumps(S0_DATA).replace('"N": 10', '"N": ' + n)
+        path.write_text(text.replace('"M": 2', '"M": ' + m), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: N and M too large: 4*N*M must be a finite float\n"
+
+
 def test_integral_float_size_loads_as_int(capsys, tmp_path):
     dumps = []
     for text in ("10", "10.0"):

@@ -4,13 +4,15 @@ import pytest
 from conftest import naive_antipodal_sum, naive_ring_sum, naive_rung_sum, naive_sum
 from moebius_csr.csr_cost import (
     CsrParams,
-    loyalty_term,
-    neighborhood_term,
-    sector_term,
     total_hcsr,
     validate_contribution,
     validate_cost,
 )
+
+
+def zero_outlay(a, params):
+    """``total_hcsr`` of ``a`` with every outlay 0, read for its addends."""
+    return total_hcsr(a, np.zeros_like(a), params)
 
 
 def random_grids(rng, N, M):
@@ -30,10 +32,10 @@ def test_terms_match_naive_loops_bit_for_bit():
             t2=float(rng.uniform(0, 2)),
             delta=float(rng.uniform(0.05, 0.95)),
         )
-        assert neighborhood_term(a, params) == params.t1 * (1.0 - params.delta) * naive_ring_sum(a)
-        assert sector_term(a, params) == params.t2 * naive_rung_sum(a)
-        assert loyalty_term(a, params) == (params.t2 / 2.0) * naive_antipodal_sum(a)
         breakdown = total_hcsr(a, c, params)
+        assert breakdown.neighborhood == params.t1 * (1.0 - params.delta) * naive_ring_sum(a)
+        assert breakdown.sector == params.t2 * naive_rung_sum(a)
+        assert breakdown.loyalty == (params.t2 / 2.0) * naive_antipodal_sum(a)
         assert breakdown.cost == -naive_sum(c)
 
 
@@ -53,12 +55,12 @@ def test_two_site_wire_neighborhood():
     x, y = 0.4, 0.7
     a = np.array([[x], [y]])
     params = CsrParams(t1=1.0, t2=0.0, delta=0.5)
-    assert neighborhood_term(a, params) == pytest.approx(x * y, rel=1e-15)
+    assert zero_outlay(a, params).neighborhood == pytest.approx(x * y, rel=1e-15)
 
 
 def test_single_wire_has_no_sector_term():
     a = np.array([[0.1], [0.2], [0.3], [0.4]])
-    assert sector_term(a, CsrParams(t1=1.0, t2=2.0, delta=0.5)) == 0.0
+    assert zero_outlay(a, CsrParams(t1=1.0, t2=2.0, delta=0.5)).sector == 0.0
 
 
 def test_sector_single_pair():
@@ -66,7 +68,7 @@ def test_sector_single_pair():
     a[0, 0] = 0.2
     a[0, 1] = 0.5
     params = CsrParams(t1=0.0, t2=2.0, delta=0.5)
-    assert sector_term(a, params) == pytest.approx(0.2, rel=1e-15)
+    assert zero_outlay(a, params).sector == pytest.approx(0.2, rel=1e-15)
 
 
 def test_loyalty_halving():
@@ -74,7 +76,7 @@ def test_loyalty_halving():
     # 2*(0.1*0.3 + 0.2*0.4) = 0.22, halved to 0.11
     a = np.array([[0.1], [0.2], [0.3], [0.4]])
     params = CsrParams(t1=0.0, t2=1.0, delta=0.5)
-    assert loyalty_term(a, params) == pytest.approx(0.11, rel=1e-14)
+    assert zero_outlay(a, params).loyalty == pytest.approx(0.11, rel=1e-14)
 
 
 def test_constant_matrix_summands():
@@ -89,13 +91,13 @@ def test_constant_matrix_summands():
         a = np.full((2 * N, M), value)
         params = CsrParams(t1=t1, t2=t2, delta=delta)
         sq = value * value
-        assert neighborhood_term(a, params) == pytest.approx(
+        assert zero_outlay(a, params).neighborhood == pytest.approx(
             t1 * (1 - delta) * 2 * N * M * sq, rel=1e-12
         )
-        assert sector_term(a, params) == pytest.approx(
+        assert zero_outlay(a, params).sector == pytest.approx(
             t2 * 2 * N * (M - 1) * sq, rel=1e-12
         )
-        assert loyalty_term(a, params) == pytest.approx(t2 * N * sq, rel=1e-12)
+        assert zero_outlay(a, params).loyalty == pytest.approx(t2 * N * sq, rel=1e-12)
 
 
 def test_zero_contributions_give_pure_cost():
@@ -116,8 +118,9 @@ def test_monotonicity_in_single_entry():
         j = int(rng.integers(0, M))
         bumped = a.copy()
         bumped[i, j] = min(a[i, j] + 0.05, 0.9999)
-        for term in (neighborhood_term, sector_term, loyalty_term):
-            assert term(bumped, params) >= term(a, params)
+        before, after = zero_outlay(a, params), zero_outlay(bumped, params)
+        for term in ("neighborhood", "sector", "loyalty"):
+            assert getattr(after, term) >= getattr(before, term)
 
 
 def test_linearity_in_sensitivities():
@@ -125,18 +128,18 @@ def test_linearity_in_sensitivities():
     a, _ = random_grids(rng, 3, 3)
     base = CsrParams(t1=1.0, t2=1.0, delta=0.25)
     scaled = CsrParams(t1=3.0, t2=5.0, delta=0.25)
-    assert neighborhood_term(a, scaled) == pytest.approx(
-        3.0 * neighborhood_term(a, base), rel=1e-14
+    assert zero_outlay(a, scaled).neighborhood == pytest.approx(
+        3.0 * zero_outlay(a, base).neighborhood, rel=1e-14
     )
-    assert sector_term(a, scaled) == pytest.approx(
-        5.0 * sector_term(a, base), rel=1e-14
+    assert zero_outlay(a, scaled).sector == pytest.approx(
+        5.0 * zero_outlay(a, base).sector, rel=1e-14
     )
-    assert loyalty_term(a, scaled) == pytest.approx(
-        5.0 * loyalty_term(a, base), rel=1e-14
+    assert zero_outlay(a, scaled).loyalty == pytest.approx(
+        5.0 * zero_outlay(a, base).loyalty, rel=1e-14
     )
     half = CsrParams(t1=1.0, t2=1.0, delta=0.625)
-    assert neighborhood_term(a, half) == pytest.approx(
-        0.5 * neighborhood_term(a, base), rel=1e-13
+    assert zero_outlay(a, half).neighborhood == pytest.approx(
+        0.5 * zero_outlay(a, base).neighborhood, rel=1e-13
     )
 
 

@@ -56,9 +56,32 @@ def test_scenario_validation():
         ("p", -1.0),
         ("w", -0.5),
         ("loyalty_exponent", 3),
+        ("loyalty_exponent", 2.0),
+        ("a", "0.5"),
+        ("p", 10**400),
     ]:
         with pytest.raises(ValueError):
             CsrScenario(**{**good, field: bad})
+
+
+def test_scenario_rejects_sizes_past_float_range():
+    good = dict(N=2, M=1, a=0.5, k=1.0, beta=2.0, delta=0.5, p=2.0, w=1.0)
+    for N, M in ((10**310, 1), (10**300, 10**10), (1, 10**308)):
+        with pytest.raises(ValueError, match="^N and M too large"):
+            CsrScenario(**{**good, "N": N, "M": M})
+    CsrScenario(**{**good, "N": 10**150, "M": 10**150})
+
+
+def test_scenario_stores_the_schema_types():
+    s = CsrScenario(
+        N=np.int64(10), M=np.int32(2), a=np.float32(0.5), k=2, beta=2.0,
+        delta=0.1, p=3.0, w=1.0, loyalty_exponent=np.int64(4),
+    )
+    for _, name, kind in SCENARIO_KEYS:
+        assert type(getattr(s, name)) is kind
+    assert json.loads(json.dumps(s.to_dict())) == s.to_dict()
+    assert s == CsrScenario(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.1,
+                            p=3.0, w=1.0)
 
 
 def test_scenario_dict_round_trip(s0):
@@ -169,14 +192,17 @@ def test_hcsr_scalar_equals_array_bitwise_property(s, data):
     budget = max(0.0, s.p - s.w)
     grid = np.linspace(0.0, budget, 17)
     picks = data.draw(st.lists(st.floats(0.0, max(budget, 1.0)), max_size=8))
-    outlays = np.concatenate([grid, picks])
+    outlays = np.concatenate([grid, picks, [1.0]])
+    positive = outlays[outlays > 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or 0 * inf warnings
-        values = hcsr_of_c(outlays, s)
-        for c, v in zip(outlays, values):
-            scalar = hcsr_of_c(float(c), s)
-            assert not math.isnan(scalar)
-            assert scalar == v
+        # H over every outlay, H' over the positive ones
+        for f, xs in ((hcsr_of_c, outlays), (dhcsr_dc, positive)):
+            values = f(xs, s)
+            for c, v in zip(xs, values):
+                scalar = f(float(c), s)
+                assert not math.isnan(scalar)
+                assert scalar == v
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -237,6 +263,15 @@ def test_derivative_matches_finite_difference():
         fd = (hcsr_of_c(c + h, s) - hcsr_of_c(c - h, s)) / (2.0 * h)
         an = dhcsr_dc(c, s)
         assert an == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def test_derivative_finite_where_power_of_a_underflows():
+    # the expanded c**(beta - 1) * a**(2 + beta) gave inf * 0 = nan here
+    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dhcsr_dc(1e10, s) == pytest.approx(-2e-10, rel=1e-12)
+        assert dhcsr_dc(np.array([1e10]), s)[0] == dhcsr_dc(1e10, s)
 
 
 def test_derivative_rejects_nonpositive_c(s0):

@@ -418,7 +418,7 @@ def test_flux_sweep_raises_on_overflowing_hopping():
         flux_sweep(lat, HoppingParams(t1=1.0, t2=1e308), [0.0], 2)
 
 
-def test_jacobi_tiny_pivot_raises_no_overflow_warning():
+def test_tiny_pivot_flux_point_raises_no_overflow_warning():
     # a flux point where the former Jacobi solver met pivots small enough
     # that (aqq - app) / (2 apq) overflowed
     lat = build_moebius(4, 1)

@@ -11,14 +11,24 @@ from moebius_csr.lattice import (
 )
 
 
-def edge_scan_neighbors(lat, site):
-    """Independent neighbor oracle: scan the raw edge list."""
-    found = []
-    for kind, a, b in lat.edges:
-        if a == site:
-            found.append((b, kind))
-        if b == site:
-            found.append((a, kind))
+def coordinate_neighbors(lat, site):
+    """Independent neighbor oracle, from the coordinates alone: ring
+    neighbors n-1 and n+1 (mod 2N), which coincide for N = 1 and so give
+    the doubled ring bond twice; rung neighbors m-1 and m+1; on a Moebius
+    strip, the twist partner n+N (mod 2N) on wire M."""
+    n, m = site
+    ring = 2 * lat.N
+    found = [
+        (SiteCoord((n - 1 + step) % ring + 1, m), EdgeKind.LONGITUDINAL)
+        for step in (-1, 1)
+    ]
+    found += [
+        (SiteCoord(n, m + step), EdgeKind.TRANSVERSE)
+        for step in (-1, 1)
+        if 1 <= m + step <= lat.M
+    ]
+    if lat.topology is Topology.MOEBIUS and m == lat.M:
+        found.append((SiteCoord((n - 1 + lat.N) % ring + 1, m), EdgeKind.TWIST))
     return found
 
 
@@ -79,7 +89,7 @@ def test_neighbors_match_edge_list_and_are_symmetric():
             for index in range(lat.n_sites):
                 site = lat.site_at(index)
                 got = lat.neighbors(site)
-                expected = edge_scan_neighbors(lat, site)
+                expected = coordinate_neighbors(lat, site)
                 assert sorted(got, key=order) == sorted(expected, key=order)
                 for other, _ in got:
                     assert any(back == site for back, _ in lat.neighbors(other))
