@@ -4,9 +4,11 @@ Subcommands: ``lattice`` (edge list as CSV or DOT), ``spectrum`` (ground
 state energy along a flux grid), ``cost`` (cost-functional breakdown for
 explicit matrices), ``optimize`` (constrained decision report for a
 scenario file), and ``statics`` (stationary point along a parameter
-sweep).  Numbers are printed with 12 significant digits and files are
-written atomically (temp file in the target directory, then rename), so
-identical inputs produce byte-identical outputs.
+sweep).  Each subcommand returns its report text and exit code, and
+``main`` writes every report, to ``--out`` or stdout.  Numbers are
+printed with 12 significant digits and files are written atomically
+(temp file in the target directory, then rename), so identical inputs
+produce byte-identical outputs.
 
 Exit codes: 0 success, 1 file I/O failure, 2 invalid arguments or domain
 error, 3 infeasible scenario (the margin constraint fails, i.e. p < w
@@ -35,7 +37,8 @@ EXIT_INFEASIBLE = 3
 
 
 def _fmt(x) -> str:
-    return "%.12g" % float(x)
+    """12 significant digits; None (no value) is an empty cell."""
+    return "" if x is None else "%.12g" % float(x)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -98,14 +101,12 @@ def _build_lattice(args):
     return build_moebius(args.n, args.m)
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> tuple[str, int]:
     lat = _build_lattice(args)
-    text = lat.to_dot() if args.format == "dot" else lat.to_csv()
-    _write_text(args.out, text)
-    return EXIT_OK
+    return (lat.to_dot() if args.format == "dot" else lat.to_csv()), EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[str, int]:
     lat = _build_lattice(args)
     electrons = args.electrons if args.electrons is not None else lat.N * lat.M
     if args.flux_sweep is not None:
@@ -116,15 +117,14 @@ def _cmd_spectrum(args) -> int:
     sweep = hamiltonian.flux_sweep(lat, params, grid, electrons)
     lines = ["phi,total_energy"]
     lines += [f"{_fmt(phi)},{_fmt(energy)}" for phi, energy in sweep]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _load_matrix(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args) -> tuple[str, int]:
     a = _load_matrix(args.contributions)
     c = _load_matrix(args.costs)
     params = csr_cost.CsrParams(t1=args.t1, t2=args.t2, delta=args.delta)
@@ -133,11 +133,10 @@ def _cmd_cost(args) -> int:
         f"{term}={_fmt(getattr(breakdown, term))}"
         for term in ("cost", "neighborhood", "sector", "loyalty", "total")
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> tuple[str, int]:
     scenario = _load_scenario(args)
     if args.dump_config is not None:
         dump = json.dumps(scenario.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -146,7 +145,7 @@ def _cmd_optimize(args) -> int:
     kind = report.stationary_kind
     pairs = [
         ("case", report.case.value),
-        ("c_star_paper", "" if report.stationary is None else _fmt(report.stationary)),
+        ("c_star_paper", _fmt(report.stationary)),
         ("kind", "" if kind is None else kind.value),
         ("c_opt", _fmt(report.constrained_opt)),
         ("H_opt", _fmt(report.objective_at_opt)),
@@ -160,11 +159,10 @@ def _cmd_optimize(args) -> int:
         text = ",".join(keys) + "\n" + ",".join(values) + "\n"
     else:
         text = "".join(f"{key}={value}\n" for key, value in pairs)
-    _write_text(args.out, text)
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    return text, EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _cmd_statics(args) -> int:
+def _cmd_statics(args) -> tuple[str, int]:
     scenario = _load_scenario(args)
     values = _parse_sweep(args.range, "--range")
     lines = ["param_value,c_star"]
@@ -176,10 +174,8 @@ def _cmd_statics(args) -> int:
         else:
             varied = replace(scenario, **{args.param: float(value)})
         stationary = decision.stationary_closed_form(varied)
-        cell = "" if stationary is None else _fmt(stationary)
-        lines.append(f"{_fmt(value)},{cell}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+        lines.append(f"{_fmt(value)},{_fmt(stationary)}")
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,25 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """Parse and validate the command line (argparse exits 2 on bad flags)."""
-    return build_parser().parse_args(argv)
-
-
-def run(config: argparse.Namespace) -> int:
-    """Dispatch a parsed config, mapping failures to the exit-code policy."""
+def main(argv=None) -> int:
+    """Run one subcommand, write its report and return the exit code
+    (a ValueError gives 2, an OSError 1; argparse exits 2 on bad flags)."""
+    args = build_parser().parse_args(argv)
     try:
-        return config.func(config)
+        text, code = args.func(args)
+        _write_text(args.out, text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def main(argv=None) -> int:
-    return run(parse_args(argv))
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,10 @@ both sides of ``beta == 1`` by the one formula
 a local minimum of H for ``beta > 1`` (the optimum then sits on a budget
 boundary) and a local maximum for ``beta < 1``.  For ``beta == 1`` the
 derivative is constant and the sign of ``k*a**2*B - 2*M`` decides which
-boundary wins.
+boundary wins.  A root of ``inf`` means the formula left float range:
+the true root is about 2 for N = M = 1, a = 0.5, k = 1e10, beta = 1e300,
+and about 3e10 for N = M = 1, a = 1e-10, k = 1, beta = 40 (delta = 0.5).
+Feasibility is the sign of the margin ``N*M*a*(p - w - c)``.
 """
 
 from __future__ import annotations
@@ -207,8 +210,8 @@ class DecisionReport:
 
     ``stationary`` is the closed-form stationary point (None when there is
     none), reported alongside the true optimum even when the two disagree;
-    ``feasible`` states whether the margin constraint
-    ``N*M*a*(p - w - c) >= 0`` holds at the chosen outlay.
+    ``feasible`` states whether the margin ``N*M*a*(p - w - c)`` is
+    non-negative at the chosen outlay (``a == 0`` or ``c <= p - w``).
     """
 
     stationary: float | None
@@ -299,10 +302,11 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
     if s.beta == 1.0 or s.a == 0.0:
         return None
     # a**(1 + beta) may underflow to 0; the base is then inf and the root
-    # inf (beta > 1) or 0 (beta < 1)
+    # inf (beta > 1) or 0 (beta < 1).  The power is the first factor and
+    # the others are finite, so the product never forms inf * 0.
     with np.errstate(over="ignore", divide="ignore"):
-        base = np.float64(2.0 * s.M) / np.float64(
-            s.beta * s.k * np.float64(s.a) ** (1.0 + s.beta) * bracket(s)
+        base = np.float64(2.0 * s.M) / (
+            np.float64(s.a) ** (1.0 + s.beta) * bracket(s) * s.k * s.beta
         )
         root = base ** (1.0 / (s.beta - 1.0))
     return float(root)
@@ -325,10 +329,19 @@ def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
     return _STATIONARY_KIND[regime]
 
 
+def _best(h, candidates) -> tuple[float, float]:
+    """``(c, H(c))`` for the first candidate with the largest H.
+
+    Callers list the candidates in ascending order, so a tie goes to the
+    smallest outlay.  Each candidate is evaluated once.
+    """
+    with np.errstate(over="ignore"):
+        scored = [(float(c), float(h(c))) for c in candidates]
+    return max(scored, key=lambda pair: pair[1])
+
+
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximization of a unimodal f on [lo, hi]."""
-    if hi - lo <= tol:
-        return 0.5 * (lo + hi)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv * (hi - lo)
     x2 = lo + inv * (hi - lo)
@@ -364,22 +377,11 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
 
     candidates = [0.0]
     if budget > 0.0:
-        if (
-            kind is StationaryKind.LOCAL_MAX
-            and stationary is not None
-            and 0.0 < stationary < budget
-        ):
+        # LOCAL_MAX means beta < 1 and a > 0, so the root exists
+        if kind is StationaryKind.LOCAL_MAX and 0.0 < stationary < budget:
             candidates.append(stationary)
         candidates.append(budget)
-
-    h = _objective(s)[0]
-    with np.errstate(over="ignore"):
-        best_c = candidates[0]
-        best_h = float(h(best_c))
-        for c in candidates[1:]:
-            value = float(h(c))
-            if value > best_h:
-                best_c, best_h = c, value
+    best_c, best_h = _best(_objective(s)[0], candidates)
 
     return DecisionReport(
         stationary=stationary,
@@ -387,7 +389,7 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
         constrained_opt=best_c,
         objective_at_opt=best_h,
         case=beta_regime(s),
-        feasible=s.N * s.M * s.a * (s.p - s.w - best_c) >= 0.0,
+        feasible=s.a == 0.0 or s.p - s.w - best_c >= 0.0,
     )
 
 
@@ -405,24 +407,16 @@ def optimize_oracle(
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
     h = _objective(s)[0]
-    with np.errstate(over="ignore"):
-        best_h = float(h(0.0))
-        if budget == 0.0:
-            return 0.0, best_h
-
-        grid = np.linspace(0.0, budget, grid_points)
-        values = h(grid)
-        peak = int(np.argmax(values))
-        lo = float(grid[max(peak - 1, 0)])
-        hi = float(grid[min(peak + 1, grid_points - 1)])
-        refined = _golden_max(h, lo, hi, tol=1e-10 * max(1.0, budget))
-
-        best_c = 0.0
-        for c in sorted({float(grid[peak]), refined, budget}):
-            value = float(h(c))
-            if value > best_h:
-                best_c, best_h = c, value
-    return best_c, best_h
+    candidates = [0.0]
+    if budget > 0.0:
+        with np.errstate(over="ignore"):
+            grid = np.linspace(0.0, budget, grid_points)
+            peak = int(np.argmax(h(grid)))
+            lo = float(grid[max(peak - 1, 0)])
+            hi = float(grid[min(peak + 1, grid_points - 1)])
+            refined = _golden_max(h, lo, hi, tol=1e-10 * max(1.0, budget))
+        candidates = sorted({0.0, float(grid[peak]), refined, budget})
+    return _best(h, candidates)
 
 
 def comparative_statics(
@@ -434,32 +428,35 @@ def comparative_statics(
     (the step is halved once if a stepped scenario leaves the valid domain
     or hops across the ``beta == 1`` knife edge, then the computation
     fails).  ``M`` is discrete, so its sensitivity is the forward
-    difference ``c*(M+1) - c*(M)``.
+    difference ``c*(M+1) - c*(M)``.  A difference that is not finite (a
+    root past float range, see the module docstring) raises ValueError.
     """
     s = scenario
     if s.beta == 1.0 or s.a == 0.0:
         raise ValueError("sensitivity needs a stationary point (beta != 1, a > 0)")
 
     if param == "M":
-        c_here = stationary_closed_form(s)
-        c_next = stationary_closed_form(replace(s, M=s.M + 1))
-        return c_next - c_here
-
-    if param not in ("delta", "beta"):
+        diff = stationary_closed_form(replace(s, M=s.M + 1)) - stationary_closed_form(s)
+    elif param in ("delta", "beta"):
+        center = float(getattr(s, param))
+        for h in (step, step / 2.0):
+            try:
+                s_hi = replace(s, **{param: center + h})
+                s_lo = replace(s, **{param: center - h})
+            except ValueError:
+                continue
+            if param == "beta" and (s_hi.beta - 1.0) * (s_lo.beta - 1.0) <= 0.0:
+                continue  # the two closed forms would straddle the knife edge
+            c_hi = stationary_closed_form(s_hi)
+            c_lo = stationary_closed_form(s_lo)
+            diff = (c_hi - c_lo) / (2.0 * h)
+            break
+        else:
+            raise ValueError(
+                f"cannot step {param} by {step} (or half) without leaving the domain"
+            )
+    else:
         raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")
-
-    center = float(getattr(s, param))
-    for h in (step, step / 2.0):
-        try:
-            s_hi = replace(s, **{param: center + h})
-            s_lo = replace(s, **{param: center - h})
-        except ValueError:
-            continue
-        if param == "beta" and (s_hi.beta - 1.0) * (s_lo.beta - 1.0) <= 0.0:
-            continue  # the two closed forms would straddle the knife edge
-        c_hi = stationary_closed_form(s_hi)
-        c_lo = stationary_closed_form(s_lo)
-        return (c_hi - c_lo) / (2.0 * h)
-    raise ValueError(
-        f"cannot step {param} by {step} (or half) without leaving the domain"
-    )
+    if not math.isfinite(diff):
+        raise ValueError(f"sensitivity to {param} is not finite (root past float range)")
+    return diff

@@ -210,7 +210,8 @@ def flux_sweep(
     """Ground-state energy along a flux grid.
 
     Returns an array of shape ``(len(phis), 2)`` with columns
-    ``(phi, total_energy)``.
+    ``(phi, total_energy)``.  ``params.phi`` is ignored: the grid
+    supplies the flux.
 
     When ``params.epsilon`` is None or equal in every row (constant along
     each wire) the sweep takes the Bloch path of the module docstring: the

@@ -139,6 +139,17 @@ def test_optimize_infeasible_exit_code(capsys, scenario_file, tmp_path):
     assert "feasible=false" in out_file.read_text(encoding="utf-8")
 
 
+def test_optimize_underflowed_margin_is_infeasible(capsys, tmp_path):
+    # N*M*a*(p - w) underflows to -0.0 here, yet p < w with a != 0
+    path = tmp_path / "tiny.json"
+    data = {"N": 1, "M": 1, "a": 1e-300, "k": 1.0, "beta": 2.0, "delta": 0.5,
+            "p": 0.0, "w": 1e-30}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["optimize", "--scenario", str(path)])
+    assert code == 3
+    assert out.endswith("feasible=false\n")
+
+
 def test_optimize_loyalty_exponent_changes_report(capsys, scenario_file):
     base = run_cli(capsys, ["optimize", "--scenario", scenario_file, "--csv"])[1]
     flat = run_cli(

@@ -313,11 +313,15 @@ def test_stationary_none_cases(s2):
 
 
 def test_stationary_past_float_range_is_inf_without_warnings():
-    # a**(1 + beta) underflows to 0, so the root (2M / 0) ** (1/39) is inf
-    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert stationary_closed_form(s) == math.inf
+    # a**(1 + beta) underflows to 0, so the root (2M / 0) ** (1/39) is inf;
+    # with beta*k past float range too the denominator must not be inf * 0
+    for s in (
+        CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0),
+        CsrScenario(N=1, M=1, a=0.5, k=1e10, beta=1e300, delta=0.5, p=3.0, w=0.0),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stationary_closed_form(s) == math.inf
 
 
 def test_foc_consistency_property():
@@ -412,6 +416,7 @@ def test_optimize_tie_breaks_to_smaller_outlay():
     assert report.constrained_opt == 0.0
     assert report.objective_at_opt == 0.0
     assert report.feasible
+    assert optimize_oracle(s) == (0.0, 0.0)
 
 
 def test_optimize_empty_and_negative_budget(s0):
@@ -421,10 +426,12 @@ def test_optimize_empty_and_negative_budget(s0):
     assert report.objective_at_opt == 0.0
     assert report.feasible  # p = w satisfies the margin constraint at c = 0
 
-    broke = replace(s0, p=1.0, w=3.0)
-    report2 = optimize_constrained(broke)
-    assert report2.constrained_opt == 0.0
-    assert not report2.feasible  # losing margin regardless of c
+    # the margin N*M*a*(p - w) of the second underflows to -0.0
+    tiny = CsrScenario(N=1, M=1, a=1e-300, k=1.0, beta=2.0, delta=0.5, p=0.0, w=1e-30)
+    for broke in (replace(s0, p=1.0, w=3.0), tiny):
+        report2 = optimize_constrained(broke)
+        assert report2.constrained_opt == 0.0
+        assert not report2.feasible  # losing margin regardless of c
 
 
 def test_optimize_report_invariants_property():
@@ -500,6 +507,14 @@ def test_statics_step_shrinks_once_then_fails(s0):
     assert math.isfinite(value)
     with pytest.raises(ValueError):
         comparative_statics(replace(s0, delta=0.004), "delta", step=0.02)
+
+
+def test_statics_past_float_range_raises():
+    # both stepped roots are inf, so every difference would be inf - inf
+    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
+    for param in ("delta", "beta", "M"):
+        with pytest.raises(ValueError, match=f"^sensitivity to {param} is not finite"):
+            comparative_statics(s, param)
 
 
 def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
