@@ -89,6 +89,8 @@ SCENARIO_KEYS = (
 
 LOYALTY_EXPONENTS = (2, 4)
 
+STATICS_STEP = 1e-2  # half-width of the central difference in comparative_statics
+
 
 def _scenario_value(key: str, value, kind: type):
     """``value`` of scenario-file ``key`` converted to ``kind``.
@@ -220,12 +222,6 @@ class DecisionReport:
     objective_at_opt: float
     case: BetaRegime
     feasible: bool
-
-
-def profit_baseline(scenario: CsrScenario) -> float:
-    """Aggregate margin N*M*a*(p - w) before any outlay is spent."""
-    s = scenario
-    return s.N * s.M * s.a * (s.p - s.w)
 
 
 def bracket(scenario: CsrScenario) -> float:
@@ -419,15 +415,13 @@ def optimize_oracle(
     return _best(h, candidates)
 
 
-def comparative_statics(
-    scenario: CsrScenario, param: str, step: float = 1e-2
-) -> float:
+def comparative_statics(scenario: CsrScenario, param: str) -> float:
     """Signed sensitivity of the stationary point to one parameter.
 
     ``delta`` and ``beta`` use a central difference of the closed form
-    (the step is halved once if a stepped scenario leaves the valid domain
-    or hops across the ``beta == 1`` knife edge, then the computation
-    fails).  ``M`` is discrete, so its sensitivity is the forward
+    with step ``STATICS_STEP`` (halved once if a stepped scenario leaves
+    the valid domain or hops across the ``beta == 1`` knife edge, then the
+    computation fails).  ``M`` is discrete, so its sensitivity is the forward
     difference ``c*(M+1) - c*(M)``.  A difference that is not finite (a
     root past float range, see the module docstring) raises ValueError.
     """
@@ -439,7 +433,7 @@ def comparative_statics(
         diff = stationary_closed_form(replace(s, M=s.M + 1)) - stationary_closed_form(s)
     elif param in ("delta", "beta"):
         center = float(getattr(s, param))
-        for h in (step, step / 2.0):
+        for h in (STATICS_STEP, STATICS_STEP / 2.0):
             try:
                 s_hi = replace(s, **{param: center + h})
                 s_lo = replace(s, **{param: center - h})
@@ -453,7 +447,8 @@ def comparative_statics(
             break
         else:
             raise ValueError(
-                f"cannot step {param} by {step} (or half) without leaving the domain"
+                f"cannot step {param} by {STATICS_STEP} (or half) "
+                "without leaving the domain"
             )
     else:
         raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")

@@ -14,7 +14,8 @@ For a lattice with ring length ``2N`` threaded by a dimensionless flux
 The matrix is Hermitian by construction: every stored bond writes an
 amplitude and its conjugate transpose.  Since the flux enters only through
 ``exp(-2j*pi*phi/N)``, the whole spectrum is periodic in ``phi`` with
-period ``N``.
+period ``N``.  One builder fills a stack of flux points from the edge list
+at once; :func:`assemble` is its one-point case.
 
 Eigenvalues come from the in-house solver of :mod:`moebius_csr._kernels`
 (Householder reduction to real tridiagonal form, then Sturm bisection).
@@ -45,7 +46,7 @@ symmetry and takes the dense path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,25 +93,30 @@ def _validated_epsilon(
     return eps
 
 
+def _stack(lattice: MoebiusLattice, params: HoppingParams, eps, phis) -> np.ndarray:
+    """Dense Hamiltonians at each flux of ``phis``, shape ``(P, 2NM, 2NM)``.
+
+    ``eps`` is the validated ``epsilon``.  Every bond adds its amplitude,
+    then its conjugate, in edge order, so doubled bonds (the N = 1 ring) sum
+    as stored.  Each phase is Python complex arithmetic on one point: NumPy's
+    complex division differs from it in the last bit.
+    """
+    d, index = lattice.n_sites, lattice.site_index
+    ends = np.array([(index(a), index(b)) for _, a, b in lattice.edges])
+    ring = np.array([kind is EdgeKind.LONGITUDINAL for kind, _, _ in lattice.edges])
+    phase = np.exp([-2j * np.pi * phi / lattice.N for phi in phis])
+    amp = np.where(ring, -params.t1 * phase[:, None], complex(-params.t2))
+    h = np.zeros((len(phis), d, d), dtype=np.complex128)
+    if eps is not None:
+        h[:, range(d), range(d)] = eps.T.ravel()  # wire-major, as site_index
+    bonds = np.stack([amp, amp.conj()], axis=-1).reshape(len(phis), -1)
+    np.add.at(h, (slice(None), ends.ravel(), ends[:, ::-1].ravel()), bonds)
+    return h
+
+
 def assemble(lattice: MoebiusLattice, params: HoppingParams) -> np.ndarray:
     """Dense complex128 Hamiltonian of shape (2NM, 2NM)."""
-    eps = _validated_epsilon(lattice, params)
-
-    d = lattice.n_sites
-    h = np.zeros((d, d), dtype=np.complex128)
-
-    if eps is not None:
-        h[np.diag_indices(d)] = eps.T.ravel()  # wire-major, as site_index
-
-    amp_long = -params.t1 * np.exp(-2j * np.pi * params.phi / lattice.N)
-    amp_cross = complex(-params.t2)
-    for kind, a, b in lattice.edges:
-        i = lattice.site_index(a)
-        j = lattice.site_index(b)
-        amp = amp_long if kind is EdgeKind.LONGITUDINAL else amp_cross
-        h[i, j] += amp
-        h[j, i] += np.conj(amp)
-    return h
+    return _stack(lattice, params, _validated_epsilon(lattice, params), [params.phi])[0]
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -216,10 +222,10 @@ def flux_sweep(
     When ``params.epsilon`` is None or equal in every row (constant along
     each wire) the sweep takes the Bloch path of the module docstring: the
     chain levels once for the whole sweep, then one band fill over all flux
-    points at once.  Otherwise every flux point assembles the dense
-    ``2NM x 2NM`` Hamiltonian, and each block of them is solved as one
-    stack.  Raises ValueError when the band ``-2*t1*cos(...)`` or a
-    ground-state energy overflows float range.
+    points at once.  Otherwise each block of flux points is built as one
+    stack of dense ``2NM x 2NM`` Hamiltonians and solved as one stack.
+    Raises ValueError when the band ``-2*t1*cos(...)`` or a ground-state
+    energy overflows float range.
     """
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
@@ -254,9 +260,7 @@ def flux_sweep(
         point_bytes = 16 * lattice.n_sites**2
 
         def levels_at(part):
-            return hermitian_eigvals(np.stack([
-                assemble(lattice, replace(params, phi=float(phi))) for phi in part
-            ]))
+            return hermitian_eigvals(_stack(lattice, params, eps, part.tolist()))
 
     out = np.empty((grid.size, 2), dtype=np.float64)
     out[:, 0] = grid

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import naive_antipodal_sum, naive_ring_sum, naive_rung_sum, naive_sum
 from moebius_csr.csr_cost import (
@@ -8,6 +13,8 @@ from moebius_csr.csr_cost import (
     validate_contribution,
     validate_cost,
 )
+from moebius_csr.hamiltonian import HoppingParams, assemble
+from moebius_csr.lattice import build_moebius
 
 
 def zero_outlay(a, params):
@@ -141,6 +148,29 @@ def test_linearity_in_sensitivities():
     assert zero_outlay(a, half).neighborhood == pytest.approx(
         0.5 * zero_outlay(a, base).neighborhood, rel=1e-13
     )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    N=st.integers(1, 6),
+    M=st.integers(1, 5),
+    t1=st.floats(0.0, 10.0),
+    t2=st.floats(0.0, 10.0),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    data=st.data(),
+)
+def test_interaction_is_the_strip_hamiltonian_form_property(N, M, t1, t2, delta, data):
+    # the three pair sums are -1/2 v.H.v of the strip Hamiltonian at zero
+    # flux: no formula or sum kernel is shared with csr_cost
+    entries = st.floats(0.0, 1.0, exclude_max=True)
+    a = data.draw(arrays(np.float64, (2 * N, M), elements=entries))
+    h = assemble(build_moebius(N, M), HoppingParams(t1 * (1.0 - delta), t2))
+    v = a.T.ravel()  # wire-major, as site_index
+    form = -0.5 * (v @ h @ v).real
+    terms = zero_outlay(a, CsrParams(t1, t2, delta))
+    interaction = terms.neighborhood + terms.sector + terms.loyalty
+    # products below the smallest normal float round on an absolute grid
+    assert math.isclose(interaction, form, rel_tol=1e-13, abs_tol=np.finfo(float).tiny)
 
 
 def test_validation_errors():

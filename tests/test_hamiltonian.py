@@ -15,7 +15,7 @@ from moebius_csr.hamiltonian import (
     flux_sweep,
     total_energy,
 )
-from moebius_csr.lattice import build_cylinder, build_moebius
+from moebius_csr.lattice import EdgeKind, build_cylinder, build_moebius
 
 
 def test_assemble_shape_and_exact_hermiticity():
@@ -61,6 +61,38 @@ def test_assemble_rejects_bad_epsilon_and_params():
         assemble(lat, HoppingParams(t1=np.nan, t2=1.0))
     with pytest.raises(ValueError):
         assemble(lat, HoppingParams(t1=1.0, t2=np.inf))
+
+
+def _loop_assemble(lat, params):
+    """Bond-by-bond fill over ``lat.edges``: the oracle of the stacked builder."""
+    d = lat.n_sites
+    h = np.zeros((d, d), dtype=np.complex128)
+    if params.epsilon is not None:
+        h[np.diag_indices(d)] = np.asarray(params.epsilon, dtype=np.float64).T.ravel()
+    amp_long = -params.t1 * np.exp(-2j * np.pi * params.phi / lat.N)
+    amp_cross = complex(-params.t2)
+    for kind, a, b in lat.edges:
+        i, j = lat.site_index(a), lat.site_index(b)
+        amp = amp_long if kind is EdgeKind.LONGITUDINAL else amp_cross
+        h[i, j] += amp
+        h[j, i] += np.conj(amp)
+    return h
+
+
+@pytest.mark.parametrize("build", [build_moebius, build_cylinder])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+@pytest.mark.parametrize("M", [1, 2, 4])
+def test_assemble_equals_bond_loop_bit_for_bit(build, N, M):
+    lat = build(N, M)
+    rng = np.random.default_rng(10 * N + M)
+    for epsilon in (None, rng.normal(size=(2 * N, M))):
+        for phi in (0.0, -0.37, 0.5 * N, 1.3 * N, -2.9 * N, float(rng.uniform(-3 * N, 3 * N))):
+            params = HoppingParams(
+                t1=float(rng.uniform(-2, 2)), t2=float(rng.uniform(-2, 2)),
+                phi=phi, epsilon=epsilon,
+            )
+            # bytes, not values: signed zeros and the last bit must agree
+            assert assemble(lat, params).tobytes() == _loop_assemble(lat, params).tobytes()
 
 
 def test_eigenvalues_trivial_cases():
@@ -293,6 +325,7 @@ def test_clean_sweep_never_assembles(monkeypatch):
             params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
             want = flux_sweep(lat, params, grid, 5)
             monkeypatch.setattr(hamiltonian, "assemble", forbidden)
+            monkeypatch.setattr(hamiltonian, "_stack", forbidden)
             assert np.array_equal(flux_sweep(lat, params, grid, 5), want)
             monkeypatch.undo()
 
@@ -374,16 +407,20 @@ def test_wire_varying_epsilon_sweep_takes_dense_path(monkeypatch):
         curve = flux_sweep(lat, params, grid, n_electrons)
         want = _lapack_sweep(lat, params, grid, n_electrons)
         assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-12)
-    calls = []
-    real_assemble = hamiltonian.assemble
+    stacks = []
+    real_solver = hamiltonian.hermitian_eigvals
 
-    def counting_assemble(*args):
-        calls.append(args)
-        return real_assemble(*args)
+    def recording_solver(h):
+        stacks.append(h.copy())
+        return real_solver(h)
 
-    monkeypatch.setattr(hamiltonian, "assemble", counting_assemble)
+    monkeypatch.setattr(hamiltonian, "hermitian_eigvals", recording_solver)
     flux_sweep(lat, params, grid, 6)
-    assert len(calls) == len(grid)
+    matrices = np.concatenate(stacks)
+    assert len(matrices) == len(grid)
+    for h, phi in zip(matrices, grid):
+        want = _loop_assemble(lat, replace(params, phi=float(phi)))
+        assert h.tobytes() == want.tobytes()
 
 
 def test_flux_sweep_rejects_bad_params_on_both_paths():
