@@ -28,9 +28,14 @@ H and H' are evaluated in the technology-rule grouping
 factor after ``t`` is finite (and ``t`` is 0 whenever ``a`` is), so H
 and H' stay finite or overflow to ``inf``, never ``nan``; the
 expanded form's ``c**beta * a**(2 + beta)`` gives ``inf * 0 = nan`` when
-``c**beta`` overflows while ``a**(2 + beta)`` underflows.  The power is
-``np.power`` on scalars and arrays alike, so a scalar evaluation equals
-the array evaluation bit for bit.
+``c**beta`` overflows while ``a**(2 + beta)`` underflows.  Every H that
+is reported or compared across candidates takes the power with
+``np.power``, on scalars and arrays alike, so a scalar evaluation equals
+the array evaluation bit for bit (libm's ``pow`` differs from NumPy's
+vectorised one in the last bit on some inputs).  Only the golden-section
+steps inside ``optimize_oracle``, which compare H at one float at a
+time and report none of it, take the power in Python floats: a NumPy
+call on a single float costs several times the arithmetic it does.
 
 The firm maximizes H over the budget interval ``0 <= c <= p - w`` (sale
 price minus wage).  The stationary point, when one exists, is given on
@@ -232,12 +237,22 @@ def bracket(scenario: CsrScenario) -> float:
     )
 
 
-def _objective(scenario: CsrScenario):
+def _float_pow(x: float, y: float) -> float:
+    """``x ** y`` in Python floats, ``inf`` past float range."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _objective(scenario: CsrScenario, power=np.power):
     """``(h, dh)``: H and H' of the outlay, from constants computed once.
 
     Both take a float or a float64 array of outlays (``>= 0`` for ``h``,
-    ``> 0`` for ``dh``) and do no checks.  Callers hold
-    ``np.errstate(over="ignore")``.
+    ``> 0`` for ``dh``) and do no checks.  ``power`` takes ``(c*a)**beta``:
+    with the default ``np.power`` callers hold
+    ``np.errstate(over="ignore")``; with ``_float_pow`` both take Python
+    floats only and never warn.
     """
     s = scenario
     a, k, beta = s.a, s.k, s.beta
@@ -245,10 +260,10 @@ def _objective(scenario: CsrScenario):
     slope = 2.0 * s.N * s.M * s.a
 
     def h(c):
-        return k * np.power(c * a, beta) * a * a * nb - slope * c
+        return k * power(c * a, beta) * a * a * nb - slope * c
 
     def dh(c):
-        return beta * k * np.power(c * a, beta) * a * a * nb / c - slope
+        return beta * k * power(c * a, beta) * a * a * nb / c - slope
 
     return h, dh
 
@@ -299,13 +314,17 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
         return None
     # a**(1 + beta) may underflow to 0; the base is then inf and the root
     # inf (beta > 1) or 0 (beta < 1).  The power is the first factor and
-    # the others are finite, so the product never forms inf * 0.
-    with np.errstate(over="ignore", divide="ignore"):
-        base = np.float64(2.0 * s.M) / (
-            np.float64(s.a) ** (1.0 + s.beta) * bracket(s) * s.k * s.beta
-        )
-        root = base ** (1.0 / (s.beta - 1.0))
-    return float(root)
+    # the others are finite, so the product never forms inf * 0.  Python
+    # floats raise where NumPy would return inf: 2M / 0, a finite power
+    # past float range, and 0.0 to a negative power.
+    try:
+        base = 2.0 * s.M / (s.a ** (1.0 + s.beta) * bracket(s) * s.k * s.beta)
+    except ZeroDivisionError:
+        base = math.inf
+    try:
+        return base ** (1.0 / (s.beta - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 _STATIONARY_KIND = {
@@ -329,11 +348,15 @@ def _best(h, candidates) -> tuple[float, float]:
     """``(c, H(c))`` for the first candidate with the largest H.
 
     Callers list the candidates in ascending order, so a tie goes to the
-    smallest outlay.  Each candidate is evaluated once.
+    smallest outlay.  Each candidate is evaluated once.  A winning H that
+    is not finite (past float range) raises ValueError naming the outlay.
     """
     with np.errstate(over="ignore"):
         scored = [(float(c), float(h(c))) for c in candidates]
-    return max(scored, key=lambda pair: pair[1])
+    c, value = max(scored, key=lambda pair: pair[1])
+    if not math.isfinite(value):
+        raise ValueError(f"H past float range at outlay c={c!r} (H={value!r})")
+    return c, value
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -389,6 +412,20 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
     )
 
 
+def _uniform_grid(stop: float, n: int) -> np.ndarray:
+    """``np.linspace(0.0, stop, n)`` bit for bit, for ``stop >= 0`` and
+    ``n >= 2``, without its per-call overhead."""
+    grid = np.arange(n, dtype=np.float64)
+    step = stop / (n - 1)
+    if step:
+        grid *= step
+    else:  # the step underflowed to 0; np.linspace then scales in two
+        grid /= n - 1
+        grid *= stop
+    grid[-1] = stop
+    return grid
+
+
 def optimize_oracle(
     scenario: CsrScenario, grid_points: int = 10_000
 ) -> tuple[float, float]:
@@ -396,7 +433,11 @@ def optimize_oracle(
 
     Scans a uniform grid over the budget, refines the best bracket by
     golden section, and keeps the exact boundaries as candidates.  Returns
-    ``(c, H(c))``; ties go to the smallest outlay.
+    ``(c, H(c))``; ties go to the smallest outlay, and a winning H past
+    float range raises ValueError.  The grid and every candidate are
+    scored with ``np.power``, so the returned H equals ``hcsr_of_c(c)``
+    bit for bit; the golden-section steps in between compare H in Python
+    floats (``_float_pow``).
     """
     s = scenario
     if grid_points < 3:
@@ -405,12 +446,14 @@ def optimize_oracle(
     h = _objective(s)[0]
     candidates = [0.0]
     if budget > 0.0:
+        grid = _uniform_grid(budget, grid_points)
         with np.errstate(over="ignore"):
-            grid = np.linspace(0.0, budget, grid_points)
             peak = int(np.argmax(h(grid)))
-            lo = float(grid[max(peak - 1, 0)])
-            hi = float(grid[min(peak + 1, grid_points - 1)])
-            refined = _golden_max(h, lo, hi, tol=1e-10 * max(1.0, budget))
+        lo = float(grid[max(peak - 1, 0)])
+        hi = float(grid[min(peak + 1, grid_points - 1)])
+        refined = _golden_max(
+            _objective(s, power=_float_pow)[0], lo, hi, tol=1e-10 * max(1.0, budget)
+        )
         candidates = sorted({0.0, float(grid[peak]), refined, budget})
     return _best(h, candidates)
 

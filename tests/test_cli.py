@@ -150,6 +150,17 @@ def test_optimize_underflowed_margin_is_infeasible(capsys, tmp_path):
     assert out.endswith("feasible=false\n")
 
 
+def test_optimize_h_past_float_range_is_domain_error(capsys, tmp_path):
+    # H(3) holds (3*0.5)**1e300, so the winning objective is inf
+    path = tmp_path / "overflow.json"
+    data = {"N": 1, "M": 1, "a": 0.5, "k": 1e10, "beta": 1e300, "delta": 0.5,
+            "p": 3.0, "w": 0.0}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: H past float range at outlay c=3.0 (H=inf)\n"
+
+
 def test_optimize_loyalty_exponent_changes_report(capsys, scenario_file):
     base = run_cli(capsys, ["optimize", "--scenario", scenario_file, "--csv"])[1]
     flat = run_cli(

@@ -1,11 +1,12 @@
 import json
 import math
+import struct
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bisect_root, random_scenario
@@ -24,6 +25,7 @@ from moebius_csr.decision import (
     optimize_constrained,
     optimize_oracle,
     stationary_closed_form,
+    _uniform_grid,
 )
 
 
@@ -316,6 +318,66 @@ def test_stationary_past_float_range_is_inf_without_warnings():
             assert stationary_closed_form(s) == math.inf
 
 
+def _errstate_closed_form(s):
+    """The root in NumPy scalars under ``np.errstate``, as the package
+    stated it before it moved to Python floats; the reference for them."""
+    if s.beta == 1.0 or s.a == 0.0:
+        return None
+    with np.errstate(over="ignore", divide="ignore"):
+        base = np.float64(2.0 * s.M) / (
+            np.float64(s.a) ** (1.0 + s.beta) * bracket(s) * s.k * s.beta
+        )
+        root = base ** (1.0 / (s.beta - 1.0))
+    return float(root)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    st.builds(
+        CsrScenario,
+        N=st.integers(1, 10**6),
+        M=st.integers(1, 10**6),
+        # a down to subnormals, k up to 1e308, beta up to 1e300
+        a=st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.floats(0.0, 1e-300),
+            _log_uniform(-323.0, -0.001),
+        ),
+        k=st.one_of(
+            st.floats(0.0, 1e308, exclude_min=True), _log_uniform(-300.0, 308.0)
+        ),
+        beta=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(1.0, 1e300, exclude_min=True),
+            _log_uniform(-300.0, -1e-12),
+            _log_uniform(1e-12, 300.0),
+        ),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p=st.just(1.0),
+        w=st.just(0.0),
+        loyalty_exponent=st.sampled_from([2, 4]),
+    )
+)
+# a**(1 + beta) * B * k overflows, so the base is 0 and its power negative
+@example(CsrScenario(N=1, M=1, a=0.9, k=1e308, beta=0.5, delta=0.5, p=1.0, w=0.0))
+# a**(1 + beta) underflows to 0, so the base is inf
+@example(CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1.0, w=0.0))
+def test_stationary_equals_errstate_formula_bitwise_property(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stationary_closed_form(s)
+        ref = _errstate_closed_form(s)
+    if ref is None:
+        assert got is None
+    else:
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", ref)
+
+
 def test_foc_consistency_property():
     rng = np.random.default_rng(2024)
     for _ in range(200):
@@ -458,7 +520,7 @@ def test_oracle_trivial_and_errors(s0):
 
 def test_oracle_equivalence_property():
     rng = np.random.default_rng(808)
-    for _ in range(100):
+    for _ in range(1000):
         s = random_scenario(rng)
         report = optimize_constrained(s)
         c_ref, h_ref = optimize_oracle(s)
@@ -467,6 +529,31 @@ def test_oracle_equivalence_property():
         assert report.objective_at_opt == pytest.approx(
             h_ref, rel=1e-10, abs=1e-12
         )
+        # golden section steers in Python floats, but the reported H is
+        # scored with np.power like every other H
+        assert struct.pack("<d", h_ref) == struct.pack("<d", hcsr_of_c(c_ref, s))
+
+
+def test_oracle_grid_is_linspace_bitwise():
+    rng = np.random.default_rng(909)
+    # budgets from subnormals, where the step underflows to 0, to 1e308
+    budgets = [0.0, 4e-323, 1e-321, 1e-300, 1.0, 3.0, 1e308]
+    budgets += list(10.0 ** rng.uniform(-323.0, 308.0, 300) * rng.random(300))
+    for budget in budgets:
+        for n in (2, 3, 2001, int(rng.integers(2, 5000))):
+            grid = _uniform_grid(float(budget), n)
+            assert grid.tobytes() == np.linspace(0.0, budget, n).tobytes()
+
+
+def test_optimizers_reject_a_winning_h_past_float_range():
+    # H(c) holds (c*a)**beta = (c/2)**1e300, past float range for c > 2
+    s = CsrScenario(N=1, M=1, a=0.5, k=1e10, beta=1e300, delta=0.5, p=3.0, w=0.0)
+    message = r"^H past float range at outlay c={} \(H=inf\)$"
+    with pytest.raises(ValueError, match=message.format(r"3\.0")):
+        optimize_constrained(s)
+    # the oracle's first candidate past c = 2 wins the tie among the infs
+    with pytest.raises(ValueError, match=message.format(r"2\.0\d*")):
+        optimize_oracle(s, 2001)
 
 
 # --- comparative statics ---------------------------------------------------
