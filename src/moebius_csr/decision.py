@@ -25,14 +25,18 @@ H and H' are evaluated in the technology-rule grouping
     H'(c) = beta * t(c) * a * a * (N*B) / c - 2*N*M*a,
 
 ``t`` first and then left to right, from one set of constants.  Each
-factor after ``t`` is finite (and ``t`` is 0 whenever ``a`` is), so H
-and H' stay finite or overflow to ``inf``, never ``nan``; the
+factor after ``t`` is finite (and ``t`` is 0 whenever ``a`` is), so the
+first term stays finite or overflows to ``inf``, never ``nan``; the
 expanded form's ``c**beta * a**(2 + beta)`` gives ``inf * 0 = nan`` when
-``c**beta`` overflows while ``a**(2 + beta)`` underflows.  Every H that
-is reported or compared across candidates takes the power with
-``np.power``, on scalars and arrays alike, so a scalar evaluation equals
-the array evaluation bit for bit (libm's ``pow`` differs from NumPy's
-vectorised one in the last bit on some inputs).  Only the golden-section
+``c**beta`` overflows while ``a**(2 + beta)`` underflows.  H itself is
+``inf - inf = nan`` when that term and ``2*N*M*a*c`` both overflow; the
+optimizers rank such an H as ``inf``, past float range, and raise.
+Every H that is reported or compared across candidates takes the power
+with ``np.power``, on scalars and arrays alike, so a scalar evaluation
+equals the array evaluation bit for bit (libm's ``pow`` differs from
+NumPy's vectorised one in the last bit on some inputs); the oracle takes
+the H of its grid-point candidates from its grid's scores on that
+ground.  Only the golden-section
 steps inside ``optimize_oracle``, which compare H at one float at a
 time and report none of it, take the power in Python floats: a NumPy
 call on a single float costs several times the arithmetic it does.
@@ -57,7 +61,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields, replace
+import sys
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -115,6 +120,36 @@ def _scenario_value(key: str, value, kind: type):
     raise ValueError(f"scenario key {key} must be {noun}, got {value!r}")
 
 
+def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
+    """Raise ValueError naming the first field outside the scenario domain;
+    the one statement of it, for ``CsrScenario`` and the stepped fields of
+    ``comparative_statics`` alike."""
+    reals = (("a", a), ("k", k), ("beta", beta), ("delta", delta), ("p", p), ("w", w))
+    for name, value in reals:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if N < 1 or M < 1:
+        raise ValueError(f"N and M must be >= 1, got N={N}, M={M}")
+    try:
+        size = 4.0 * N * M
+    except OverflowError:  # N past float range
+        size = math.inf
+    if not math.isfinite(size):
+        raise ValueError("N and M too large: 4*N*M must be a finite float")
+    if not (0.0 <= a < 1.0):
+        raise ValueError(f"a must lie in [0, 1), got {a}")
+    if k <= 0.0:
+        raise ValueError(f"k must be > 0, got {k}")
+    if beta <= 0.0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if p < 0.0 or w < 0.0:
+        raise ValueError("p and w must be >= 0")
+    if loyalty_exponent not in LOYALTY_EXPONENTS:
+        raise ValueError(f"loyalty exponent must be 2 or 4, got {loyalty_exponent!r}")
+
+
 @dataclass(frozen=True)
 class CsrScenario:
     """Economic parameters of the uniform-contribution decision problem.
@@ -154,30 +189,8 @@ class CsrScenario:
                 except OverflowError:  # an int past float range
                     value = math.inf
                 object.__setattr__(self, name, value)
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.N < 1 or self.M < 1:
-            raise ValueError(f"N and M must be >= 1, got N={self.N}, M={self.M}")
-        try:
-            size = 4.0 * self.N * self.M
-        except OverflowError:  # N past float range
-            size = math.inf
-        if not math.isfinite(size):
-            raise ValueError("N and M too large: 4*N*M must be a finite float")
-        if not (0.0 <= self.a < 1.0):
-            raise ValueError(f"a must lie in [0, 1), got {self.a}")
-        if self.k <= 0.0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.p < 0.0 or self.w < 0.0:
-            raise ValueError("p and w must be >= 0")
-        if self.loyalty_exponent not in LOYALTY_EXPONENTS:
-            raise ValueError(
-                f"loyalty exponent must be 2 or 4, got {self.loyalty_exponent!r}"
-            )
+        _check_domain(self.N, self.M, self.a, self.k, self.beta, self.delta,
+                      self.p, self.w, self.loyalty_exponent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CsrScenario":
@@ -232,9 +245,11 @@ class DecisionReport:
 def bracket(scenario: CsrScenario) -> float:
     """B = 2*M*(2 - delta) - 2 + a**(lam - 2); strictly positive."""
     s = scenario
-    return 2.0 * s.M * (2.0 - s.delta) - 2.0 + float(
-        np.float64(s.a) ** (s.loyalty_exponent - 2)
-    )
+    return _bracket(s.M, s.a, s.delta, s.loyalty_exponent)
+
+
+def _bracket(M, a, delta, loyalty_exponent) -> float:
+    return 2.0 * M * (2.0 - delta) - 2.0 + a ** (loyalty_exponent - 2)
 
 
 def _float_pow(x: float, y: float) -> float:
@@ -310,7 +325,12 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
     raised, and downstream code treats it as lying beyond any budget.
     """
     s = scenario
-    if s.beta == 1.0 or s.a == 0.0:
+    return _root(s.M, s.a, s.k, s.beta, s.delta, s.loyalty_exponent)
+
+
+def _root(M, a, k, beta, delta, loyalty_exponent) -> float | None:
+    """``stationary_closed_form`` of the plain fields, unchecked."""
+    if beta == 1.0 or a == 0.0:
         return None
     # a**(1 + beta) may underflow to 0; the base is then inf and the root
     # inf (beta > 1) or 0 (beta < 1).  The power is the first factor and
@@ -318,11 +338,12 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
     # floats raise where NumPy would return inf: 2M / 0, a finite power
     # past float range, and 0.0 to a negative power.
     try:
-        base = 2.0 * s.M / (s.a ** (1.0 + s.beta) * bracket(s) * s.k * s.beta)
+        b = _bracket(M, a, delta, loyalty_exponent)
+        base = 2.0 * M / (a ** (1.0 + beta) * b * k * beta)
     except ZeroDivisionError:
         base = math.inf
     try:
-        return base ** (1.0 / (s.beta - 1.0))
+        return base ** (1.0 / (beta - 1.0))
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
@@ -344,40 +365,47 @@ def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
     return _STATIONARY_KIND[regime]
 
 
-def _best(h, candidates) -> tuple[float, float]:
-    """``(c, H(c))`` for the first candidate with the largest H.
+def _best(scored) -> tuple[float, float]:
+    """The first of the scored ``(c, H(c))`` pairs with the largest H.
 
-    Callers list the candidates in ascending order, so a tie goes to the
-    smallest outlay.  Each candidate is evaluated once.  A winning H that
-    is not finite (past float range) raises ValueError naming the outlay.
+    Callers list the pairs in ascending c, so a tie goes to the smallest
+    outlay.  A winning H that is not finite (past float range) raises
+    ValueError naming the outlay.  A NaN H (``inf - inf``: both terms of H
+    past float range) ranks as ``inf``, so it raises too.
     """
-    with np.errstate(over="ignore"):
-        scored = [(float(c), float(h(c))) for c in candidates]
-    c, value = max(scored, key=lambda pair: pair[1])
+    c, value = max(scored, key=lambda cv: math.inf if math.isnan(cv[1]) else cv[1])
     if not math.isfinite(value):
         raise ValueError(f"H past float range at outlay c={c!r} (H={value!r})")
     return c, value
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximization of a unimodal f on [lo, hi], over
+    ``log c`` floored at the smallest normal float, down to a width of
+    1e-6: at most 44 steps for any bracket.  At an interior maximum of H,
+    ``c**2 * |H''| = beta * |H|`` with ``beta < 1``, so that width puts H
+    within 1e-12 of itself however far below ``hi`` the maximizer lies.
+    Ties step toward larger c, so a stretch where H is flat in floats does
+    not pull the search down to where ``c * a`` underflows."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1 = f(x1)
-    f2 = f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + inv * (hi - lo)
-            f2 = f(x2)
+    u_lo = math.log(max(lo, sys.float_info.min))
+    u_hi = math.log(max(hi, sys.float_info.min))
+    u1 = u_hi - inv * (u_hi - u_lo)
+    u2 = u_lo + inv * (u_hi - u_lo)
+    f1 = f(math.exp(u1))
+    f2 = f(math.exp(u2))
+    while u_hi - u_lo > 1e-6:
+        if f1 <= f2:
+            u_lo = u1
+            u1, f1 = u2, f2
+            u2 = u_lo + inv * (u_hi - u_lo)
+            f2 = f(math.exp(u2))
         else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - inv * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
+            u_hi = u2
+            u2, f2 = u1, f1
+            u1 = u_hi - inv * (u_hi - u_lo)
+            f1 = f(math.exp(u1))
+    return min(max(math.exp(0.5 * (u_lo + u_hi)), lo), hi)
 
 
 def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
@@ -400,7 +428,9 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
         if kind is StationaryKind.LOCAL_MAX and 0.0 < stationary < budget:
             candidates.append(stationary)
         candidates.append(budget)
-    best_c, best_h = _best(_objective(s)[0], candidates)
+    h = _objective(s)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_c, best_h = _best([(c, float(h(c))) for c in candidates])
 
     return DecisionReport(
         stationary=stationary,
@@ -432,60 +462,69 @@ def optimize_oracle(
     """Grid-plus-refinement maximizer of H, independent of the closed form.
 
     Scans a uniform grid over the budget, refines the best bracket by
-    golden section, and keeps the exact boundaries as candidates.  Returns
-    ``(c, H(c))``; ties go to the smallest outlay, and a winning H past
-    float range raises ValueError.  The grid and every candidate are
-    scored with ``np.power``, so the returned H equals ``hcsr_of_c(c)``
-    bit for bit; the golden-section steps in between compare H in Python
-    floats (``_float_pow``).
+    golden section over ``log c`` (to 1e-6 of the maximizer, however far
+    below the grid's step it lies), and keeps the exact boundaries as
+    candidates.  Returns ``(c, H(c))``; ties go to the smallest outlay,
+    and a winning H past float range raises ValueError.  The candidates
+    0, the grid's peak and the budget are grid points, so their H comes
+    from the grid's scores; only the refined point is scored afresh.  All
+    of these take the power with ``np.power``, so the returned H equals
+    ``hcsr_of_c(c)`` bit for bit; the golden-section steps in between
+    compare H in Python floats (``_float_pow``).
     """
     s = scenario
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
     h = _objective(s)[0]
-    candidates = [0.0]
-    if budget > 0.0:
-        grid = _uniform_grid(budget, grid_points)
-        with np.errstate(over="ignore"):
-            peak = int(np.argmax(h(grid)))
-        lo = float(grid[max(peak - 1, 0)])
-        hi = float(grid[min(peak + 1, grid_points - 1)])
+    if budget == 0.0:
+        return _best([(0.0, float(h(0.0)))])
+    grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = h(grid)
+        peak = int(np.argmax(values))
         refined = _golden_max(
-            _objective(s, power=_float_pow)[0], lo, hi, tol=1e-10 * max(1.0, budget)
+            _objective(s, power=_float_pow)[0],
+            float(grid[max(peak - 1, 0)]),
+            float(grid[min(peak + 1, grid_points - 1)]),
         )
-        candidates = sorted({0.0, float(grid[peak]), refined, budget})
-    return _best(h, candidates)
+        scored = [(refined, float(h(refined)))]
+    scored += [(float(grid[i]), float(values[i])) for i in (0, peak, grid_points - 1)]
+    return _best(sorted(scored))
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:
     """Signed sensitivity of the stationary point to one parameter.
 
-    ``delta`` and ``beta`` use a central difference of the closed form
-    with step ``STATICS_STEP`` (halved once if a stepped scenario leaves
-    the valid domain or hops across the ``beta == 1`` knife edge, then the
-    computation fails).  ``M`` is discrete, so its sensitivity is the forward
-    difference ``c*(M+1) - c*(M)``.  A difference that is not finite (a
-    root past float range, see the module docstring) raises ValueError.
+    ``delta`` and ``beta`` use a central difference of the closed-form root
+    of the stepped fields, with step ``STATICS_STEP`` (halved once if a
+    stepped field leaves the scenario domain or the step hops across the
+    ``beta == 1`` knife edge, then the computation fails).  ``M`` is
+    discrete, so its sensitivity is the forward difference
+    ``c*(M+1) - c*(M)``; an ``M + 1`` outside the domain raises its
+    ValueError.  A difference that is not finite (a root past float range,
+    see the module docstring) raises ValueError.
     """
     s = scenario
     if s.beta == 1.0 or s.a == 0.0:
         raise ValueError("sensitivity needs a stationary point (beta != 1, a > 0)")
 
+    def root(M=s.M, beta=s.beta, delta=s.delta):
+        _check_domain(s.N, M, s.a, s.k, beta, delta, s.p, s.w, s.loyalty_exponent)
+        return _root(M, s.a, s.k, beta, delta, s.loyalty_exponent)
+
     if param == "M":
-        diff = stationary_closed_form(replace(s, M=s.M + 1)) - stationary_closed_form(s)
+        diff = root(M=s.M + 1) - stationary_closed_form(s)
     elif param in ("delta", "beta"):
-        center = float(getattr(s, param))
+        center = getattr(s, param)
         for h in (STATICS_STEP, STATICS_STEP / 2.0):
             try:
-                s_hi = replace(s, **{param: center + h})
-                s_lo = replace(s, **{param: center - h})
+                c_hi = root(**{param: center + h})
+                c_lo = root(**{param: center - h})
             except ValueError:
                 continue
-            if param == "beta" and (s_hi.beta - 1.0) * (s_lo.beta - 1.0) <= 0.0:
+            if param == "beta" and (center + h - 1.0) * (center - h - 1.0) <= 0.0:
                 continue  # the two closed forms would straddle the knife edge
-            c_hi = stationary_closed_form(s_hi)
-            c_lo = stationary_closed_form(s_lo)
             diff = (c_hi - c_lo) / (2.0 * h)
             break
         else:

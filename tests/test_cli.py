@@ -161,6 +161,17 @@ def test_optimize_h_past_float_range_is_domain_error(capsys, tmp_path):
     assert err == "error: H past float range at outlay c=3.0 (H=inf)\n"
 
 
+def test_optimize_nan_h_is_domain_error(capsys, tmp_path):
+    # both terms of H(1e10) overflow, so H = inf - inf = nan
+    path = tmp_path / "nan.json"
+    data = {"N": 10**153, "M": 10**153, "a": 0.5, "k": 1.0, "beta": 2.0,
+            "delta": 0.5, "p": 1e10, "w": 0.0}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: H past float range at outlay c=10000000000.0 (H=nan)\n"
+
+
 def test_optimize_loyalty_exponent_changes_report(capsys, scenario_file):
     base = run_cli(capsys, ["optimize", "--scenario", scenario_file, "--csv"])[1]
     flat = run_cli(

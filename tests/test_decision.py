@@ -6,13 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import bisect_root, random_scenario
 from moebius_csr import csr_cost
 from moebius_csr.decision import (
     SCENARIO_KEYS,
+    STATICS_STEP,
     BetaRegime,
     CsrScenario,
     StationaryKind,
@@ -25,6 +26,8 @@ from moebius_csr.decision import (
     optimize_constrained,
     optimize_oracle,
     stationary_closed_form,
+    _check_domain,
+    _golden_max,
     _uniform_grid,
 )
 
@@ -71,6 +74,33 @@ def test_scenario_rejects_sizes_past_float_range():
         with pytest.raises(ValueError, match="^N and M too large"):
             CsrScenario(**{**good, "N": N, "M": M})
     CsrScenario(**{**good, "N": 10**150, "M": 10**150})
+
+
+def test_scenario_and_domain_check_accept_the_same_values():
+    # the scenario and the stepped fields of comparative_statics share one
+    # statement of the domain; every edge must fall on the same side of it
+    good = dict(N=2, M=1, a=0.5, k=1.0, beta=2.0, delta=0.5, p=2.0, w=1.0,
+                loyalty_exponent=4)
+    tiny = math.ulp(0.0)
+    edges = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, tiny, -tiny, 2.2250738585072014e-308,
+             math.nan, math.inf, -math.inf]
+    cases = [{name: v} for name in ("a", "k", "beta", "delta", "p", "w") for v in edges]
+    # 4*N*M at, past and far past float range
+    cases += [{"N": n, "M": m} for n, m in (
+        (0, 1), (1, 0), (1, 1), (4 * 10**307, 1), (4 * 10**307, 2), (10**308, 1),
+        (10**310, 1), (10**154, 10**154), (10**155, 10**154),
+    )]
+    cases += [{"loyalty_exponent": lam} for lam in (0, 1, 2, 3, 4, 5)]
+    for case in cases:
+        values = {**good, **case}
+        outcomes = []
+        for check in (CsrScenario, _check_domain):
+            try:
+                check(**values)
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], case
 
 
 def test_scenario_stores_the_schema_types():
@@ -200,10 +230,12 @@ def test_hcsr_scalar_equals_array_bitwise_property(s, data):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(scenarios(max_beta=6.0, max_p=10.0, max_w=10.0))
+@given(scenarios(max_beta=6.0, max_p=1e12, max_w=10.0))
+# an interior maximum far below a large budget: an oracle that stopped at
+# 1e-10 * budget left a relative H gap of 3.4e-9 here
+@example(CsrScenario(N=1, M=1, a=0.5, k=1.0, beta=0.5, delta=0.5, p=211070.0,
+                     w=0.0, loyalty_exponent=2))
 def test_optimizer_matches_oracle_property(s):
-    # the oracle refines to 1e-10 * budget, so the budget stays at the
-    # scale where that resolves H to the tolerance below
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # closed-form root
         report = optimize_constrained(s)
@@ -324,8 +356,11 @@ def _errstate_closed_form(s):
     if s.beta == 1.0 or s.a == 0.0:
         return None
     with np.errstate(over="ignore", divide="ignore"):
+        b = 2.0 * s.M * (2.0 - s.delta) - 2.0 + float(
+            np.float64(s.a) ** (s.loyalty_exponent - 2)
+        )
         base = np.float64(2.0 * s.M) / (
-            np.float64(s.a) ** (1.0 + s.beta) * bracket(s) * s.k * s.beta
+            np.float64(s.a) ** (1.0 + s.beta) * b * s.k * s.beta
         )
         root = base ** (1.0 / (s.beta - 1.0))
     return float(root)
@@ -534,15 +569,34 @@ def test_oracle_equivalence_property():
         assert struct.pack("<d", h_ref) == struct.pack("<d", hcsr_of_c(c_ref, s))
 
 
+def _oracle_budgets(rng):
+    """Budgets from subnormals, where the grid step underflows to 0, to 1e308."""
+    budgets = [0.0, 4e-323, 1e-321, 1e-300, 1.0, 3.0, 1e308]
+    return budgets + list(10.0 ** rng.uniform(-323.0, 308.0, 300) * rng.random(300))
+
+
 def test_oracle_grid_is_linspace_bitwise():
     rng = np.random.default_rng(909)
-    # budgets from subnormals, where the step underflows to 0, to 1e308
-    budgets = [0.0, 4e-323, 1e-321, 1e-300, 1.0, 3.0, 1e308]
-    budgets += list(10.0 ** rng.uniform(-323.0, 308.0, 300) * rng.random(300))
+    budgets = _oracle_budgets(rng)
     for budget in budgets:
         for n in (2, 3, 2001, int(rng.integers(2, 5000))):
             grid = _uniform_grid(float(budget), n)
             assert grid.tobytes() == np.linspace(0.0, budget, n).tobytes()
+
+
+def test_oracle_refinement_ends_for_every_budget():
+    # golden section over log c ends within 44 steps (46 evaluations) on
+    # any bracket of floats, rising, falling or flat, whatever its scale
+    s = CsrScenario(N=1, M=1, a=0.5, k=1.0, beta=0.5, delta=0.5, p=1.0, w=0.0)
+    for budget in map(float, _oracle_budgets(np.random.default_rng(909))):
+        c_ref, h_ref = optimize_oracle(replace(s, p=budget), 2001)
+        assert c_ref >= 0.0 and math.isfinite(h_ref)
+        for lo, hi in ((0.0, budget / 2000), (0.0, budget), (0.999 * budget, budget)):
+            for slope in (1.0, -1.0, 0.0):
+                calls = []
+                c = _golden_max(lambda x: calls.append(x) or slope * x, lo, hi)
+                assert lo <= c <= hi
+                assert len(calls) <= 46
 
 
 def test_optimizers_reject_a_winning_h_past_float_range():
@@ -554,6 +608,20 @@ def test_optimizers_reject_a_winning_h_past_float_range():
     # the oracle's first candidate past c = 2 wins the tie among the infs
     with pytest.raises(ValueError, match=message.format(r"2\.0\d*")):
         optimize_oracle(s, 2001)
+
+
+def test_optimizers_reject_a_nan_h_past_float_range():
+    # at c = 1e10 both terms of H overflow, so H = inf - inf = nan, while
+    # the true H(1e10) is about 1.9e325; max() alone never picks a nan
+    s = CsrScenario(N=10**153, M=10**153, a=0.5, k=1.0, beta=2.0, delta=0.5,
+                    p=1e10, w=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^H past float range at outlay c=10000000000\.0 \(H=nan\)$"
+        with pytest.raises(ValueError, match=message):
+            optimize_constrained(s)
+        with pytest.raises(ValueError, match=r"^H past float range at outlay c="):
+            optimize_oracle(s, 2001)
 
 
 # --- comparative statics ---------------------------------------------------
@@ -594,6 +662,100 @@ def test_statics_past_float_range_raises():
     for param in ("delta", "beta", "M"):
         with pytest.raises(ValueError, match=f"^sensitivity to {param} is not finite"):
             comparative_statics(s, param)
+
+
+def _replace_statics(s, param):
+    """``comparative_statics`` as the package stated it when it built each
+    stepped scenario with ``replace``; the reference for the stepped-field
+    version."""
+    if s.beta == 1.0 or s.a == 0.0:
+        raise ValueError("sensitivity needs a stationary point (beta != 1, a > 0)")
+    if param == "M":
+        diff = stationary_closed_form(replace(s, M=s.M + 1)) - stationary_closed_form(s)
+    elif param in ("delta", "beta"):
+        center = float(getattr(s, param))
+        for h in (STATICS_STEP, STATICS_STEP / 2.0):
+            try:
+                s_hi = replace(s, **{param: center + h})
+                s_lo = replace(s, **{param: center - h})
+            except ValueError:
+                continue
+            if param == "beta" and (s_hi.beta - 1.0) * (s_lo.beta - 1.0) <= 0.0:
+                continue
+            c_hi = stationary_closed_form(s_hi)
+            c_lo = stationary_closed_form(s_lo)
+            diff = (c_hi - c_lo) / (2.0 * h)
+            break
+        else:
+            raise ValueError(
+                f"cannot step {param} by {STATICS_STEP} (or half) "
+                "without leaving the domain"
+            )
+    else:
+        raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")
+    if not math.isfinite(diff):
+        raise ValueError(
+            f"sensitivity to {param} is not finite (root past float range)"
+        )
+    return diff
+
+
+def _bits_or_error(f, *args):
+    try:
+        return struct.pack("<d", f(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _near(x, width):
+    return st.floats(x - width, x + width)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries(dict(
+        N=st.one_of(st.integers(1, 200), st.integers(1, 10**160)),
+        M=st.one_of(st.integers(1, 50), st.integers(1, 10**160)),
+        # a, k and beta far enough out push the root past float range
+        a=st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), _log_uniform(-320.0, -0.001)
+        ),
+        k=st.one_of(st.floats(1e-3, 1e3), _log_uniform(-300.0, 308.0)),
+        # beta straddling the knife edge and near 0, where the step halves
+        # or fails
+        beta=st.one_of(
+            _near(1.0, 1e-2), st.floats(0.0, 2e-2, exclude_min=True),
+            st.floats(0.0, 6.0, exclude_min=True), _log_uniform(-300.0, 300.0),
+        ),
+        # delta within 1e-2 of either end, where the step halves or fails
+        delta=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(0.0, 2e-2, exclude_min=True),
+            st.floats(0.98, 1.0, exclude_max=True),
+        ),
+        p=st.floats(0.0, 10.0),
+        w=st.floats(0.0, 10.0),
+        loyalty_exponent=st.sampled_from([2, 4]),
+    ))
+)
+@example(dict(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.0075, p=3.0, w=1.0,
+              loyalty_exponent=4))  # delta: the step halves
+@example(dict(N=10, M=2, a=0.5, k=2.0, beta=1.005, delta=0.004, p=3.0, w=1.0,
+              loyalty_exponent=4))  # delta and beta: both steps fail
+@example(dict(N=10, M=2, a=0.5, k=2.0, beta=1.008, delta=0.9925, p=3.0, w=1.0,
+              loyalty_exponent=2))  # beta: the full step straddles 1
+@example(dict(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0,
+              loyalty_exponent=4))  # every root past float range
+@example(dict(N=4 * 10**307, M=1, a=0.5, k=1.0, beta=0.5, delta=0.5, p=1.0, w=0.0,
+              loyalty_exponent=4))  # M + 1 puts 4*N*M past float range
+def test_statics_equal_replace_reference_property(values):
+    try:
+        s = CsrScenario(**values)
+    except ValueError:
+        reject()
+    for param in ("delta", "beta", "M"):
+        got = _bits_or_error(comparative_statics, s, param)
+        assert got == _bits_or_error(_replace_statics, s, param), param
 
 
 def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
