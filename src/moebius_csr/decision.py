@@ -29,17 +29,15 @@ factor after ``t`` is finite (and ``t`` is 0 whenever ``a`` is), so the
 first term stays finite or overflows to ``inf``, never ``nan``; the
 expanded form's ``c**beta * a**(2 + beta)`` gives ``inf * 0 = nan`` when
 ``c**beta`` overflows while ``a**(2 + beta)`` underflows.  H itself is
-``inf - inf = nan`` when that term and ``2*N*M*a*c`` both overflow; the
-optimizers rank such an H as ``inf``, past float range, and raise.
-Every H that is reported or compared across candidates takes the power
-with ``np.power``, on scalars and arrays alike, so a scalar evaluation
-equals the array evaluation bit for bit (libm's ``pow`` differs from
-NumPy's vectorised one in the last bit on some inputs); the oracle takes
-the H of its grid-point candidates from its grid's scores on that
-ground.  Only the golden-section
-steps inside ``optimize_oracle``, which compare H at one float at a
-time and report none of it, take the power in Python floats: a NumPy
-call on a single float costs several times the arithmetic it does.
+``inf - inf = nan`` when both terms overflow; the optimizers rank it by
+the logs of the terms (``_nan_rank``).  Every H that is reported or
+compared across candidates takes the power with ``np.power``, on scalars
+and arrays alike, so a scalar evaluation equals the array evaluation bit
+for bit (libm's ``pow`` differs from NumPy's vectorised one in the last
+bit on some inputs).  Only the golden-section steps inside
+``optimize_oracle``, which compare H at one float at a time and report
+none of it, take the power in Python floats: a NumPy call on a single
+float costs several times the arithmetic it does.
 
 The firm maximizes H over the budget interval ``0 <= c <= p - w`` (sale
 price minus wage).  The stationary point, when one exists, is given on
@@ -61,7 +59,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -124,8 +121,8 @@ def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
     """Raise ValueError naming the first field outside the scenario domain;
     the one statement of it, for ``CsrScenario`` and the stepped fields of
     ``comparative_statics`` alike."""
-    reals = (("a", a), ("k", k), ("beta", beta), ("delta", delta), ("p", p), ("w", w))
-    for name, value in reals:
+    for name, value in (("a", a), ("k", k), ("beta", beta), ("delta", delta), ("p", p),
+                        ("w", w)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if N < 1 or M < 1:
@@ -365,31 +362,42 @@ def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
     return _STATIONARY_KIND[regime]
 
 
-def _best(scored) -> tuple[float, float]:
-    """The first of the scored ``(c, H(c))`` pairs with the largest H.
+def _nan_rank(c, scenario: CsrScenario):
+    """Rank of a NaN H at outlays ``c > 0`` (float or array).  Such an H is
+    ``inf - inf``, both terms past float range; it ranks as ``inf`` where
+    the log of ``t * a * a * (N*B)`` exceeds that of ``2*N*M*a*c``, else
+    as ``-inf``."""
+    s = scenario
+    gain = (math.log(s.k) + s.beta * np.log(c * s.a) + 2.0 * math.log(s.a)
+            + math.log(s.N * bracket(s)))
+    loss = math.log(2.0 * s.N * s.M * s.a) + np.log(c)
+    return np.where(gain > loss, np.inf, -np.inf)
 
-    Callers list the pairs in ascending c, so a tie goes to the smallest
-    outlay.  A winning H that is not finite (past float range) raises
-    ValueError naming the outlay.  A NaN H (``inf - inf``: both terms of H
-    past float range) ranks as ``inf``, so it raises too.
-    """
-    c, value = max(scored, key=lambda cv: math.inf if math.isnan(cv[1]) else cv[1])
+
+def _best(scored, scenario: CsrScenario) -> tuple[float, float]:
+    """The first of the scored ``(c, H(c))`` pairs with the largest H, a
+    NaN H ranked by ``_nan_rank``.  Callers list the pairs in ascending c,
+    so a tie goes to the smallest outlay.  A winning H that is not finite
+    raises ValueError naming the outlay."""
+    c, value = max(
+        scored,
+        key=lambda cv: cv[1] if cv[1] == cv[1] else float(_nan_rank(cv[0], scenario)),
+    )
     if not math.isfinite(value):
         raise ValueError(f"H past float range at outlay c={c!r} (H={value!r})")
     return c, value
 
 
 def _golden_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi], over
-    ``log c`` floored at the smallest normal float, down to a width of
-    1e-6: at most 44 steps for any bracket.  At an interior maximum of H,
-    ``c**2 * |H''| = beta * |H|`` with ``beta < 1``, so that width puts H
-    within 1e-12 of itself however far below ``hi`` the maximizer lies.
-    Ties step toward larger c, so a stretch where H is flat in floats does
-    not pull the search down to where ``c * a`` underflows."""
+    """Golden-section maximization of a unimodal f on [lo, hi] over
+    ``log c`` (floored at the smallest normal float) to a width of 1e-6.
+    At an interior maximum of H ``c**2 * |H''| = beta * |H|`` with
+    ``beta < 1``, so this puts H within 1e-12 of itself however far below
+    the grid's step the maximizer lies.  Ties step toward larger c, so
+    where H is flat in floats the search does not sink to ``c*a == 0``."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    u_lo = math.log(max(lo, sys.float_info.min))
-    u_hi = math.log(max(hi, sys.float_info.min))
+    u_lo = math.log(max(lo, 2.0**-1022))
+    u_hi = math.log(max(hi, 2.0**-1022))
     u1 = u_hi - inv * (u_hi - u_lo)
     u2 = u_lo + inv * (u_hi - u_lo)
     f1 = f(math.exp(u1))
@@ -430,7 +438,7 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
         candidates.append(budget)
     h = _objective(s)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        best_c, best_h = _best([(c, float(h(c))) for c in candidates])
+        best_c, best_h = _best([(c, float(h(c))) for c in candidates], s)
 
     return DecisionReport(
         stationary=stationary,
@@ -462,15 +470,12 @@ def optimize_oracle(
     """Grid-plus-refinement maximizer of H, independent of the closed form.
 
     Scans a uniform grid over the budget, refines the best bracket by
-    golden section over ``log c`` (to 1e-6 of the maximizer, however far
-    below the grid's step it lies), and keeps the exact boundaries as
-    candidates.  Returns ``(c, H(c))``; ties go to the smallest outlay,
-    and a winning H past float range raises ValueError.  The candidates
-    0, the grid's peak and the budget are grid points, so their H comes
-    from the grid's scores; only the refined point is scored afresh.  All
-    of these take the power with ``np.power``, so the returned H equals
-    ``hcsr_of_c(c)`` bit for bit; the golden-section steps in between
-    compare H in Python floats (``_float_pow``).
+    ``_golden_max``, and keeps the exact boundaries as candidates.
+    Returns ``(c, H(c))``; ties go to the smallest outlay, and a winning H
+    past float range raises ValueError.  The candidates 0, the grid's peak
+    and the budget are grid points, so their H comes from the grid's
+    scores; only the refined point is scored afresh, also with
+    ``np.power``, so the returned H equals ``hcsr_of_c(c)`` bit for bit.
     """
     s = scenario
     if grid_points < 3:
@@ -478,11 +483,13 @@ def optimize_oracle(
     budget = max(0.0, s.p - s.w)
     h = _objective(s)[0]
     if budget == 0.0:
-        return _best([(0.0, float(h(0.0)))])
+        return _best([(0.0, float(h(0.0)))], s)
     grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         values = h(grid)
         peak = int(np.argmax(values))
+        if math.isnan(values[peak]):  # argmax stops at the first NaN
+            peak = int(np.argmax(np.where(np.isnan(values), _nan_rank(grid, s), values)))
         refined = _golden_max(
             _objective(s, power=_float_pow)[0],
             float(grid[max(peak - 1, 0)]),
@@ -490,7 +497,7 @@ def optimize_oracle(
         )
         scored = [(refined, float(h(refined)))]
     scored += [(float(grid[i]), float(values[i])) for i in (0, peak, grid_points - 1)]
-    return _best(sorted(scored))
+    return _best(sorted(scored), s)
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:
@@ -498,12 +505,10 @@ def comparative_statics(scenario: CsrScenario, param: str) -> float:
 
     ``delta`` and ``beta`` use a central difference of the closed-form root
     of the stepped fields, with step ``STATICS_STEP`` (halved once if a
-    stepped field leaves the scenario domain or the step hops across the
-    ``beta == 1`` knife edge, then the computation fails).  ``M`` is
-    discrete, so its sensitivity is the forward difference
-    ``c*(M+1) - c*(M)``; an ``M + 1`` outside the domain raises its
-    ValueError.  A difference that is not finite (a root past float range,
-    see the module docstring) raises ValueError.
+    stepped field leaves the domain or hops across the ``beta == 1`` knife
+    edge, then the computation fails).  ``M`` is discrete, so its
+    sensitivity is the forward difference ``c*(M+1) - c*(M)``.  A
+    difference that is not finite (a root past float range) raises ValueError.
     """
     s = scenario
     if s.beta == 1.0 or s.a == 0.0:

@@ -172,6 +172,20 @@ def test_optimize_nan_h_is_domain_error(capsys, tmp_path):
     assert err == "error: H past float range at outlay c=10000000000.0 (H=nan)\n"
 
 
+def test_optimize_nan_h_far_below_zero_loses(capsys, tmp_path):
+    # beta < 1: the true H(1e10) is about -1e316, so the interior maximum wins
+    path = tmp_path / "nan_low.json"
+    data = {"N": 10**153, "M": 10**153, "a": 0.5, "k": 1.0, "beta": 0.5,
+            "delta": 0.5, "p": 1e10, "w": 0.0}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    args = ["optimize", "--scenario", str(path), "--oracle-points", "2001"]
+    code, out, err = run_cli(capsys, args)
+    assert (code, err) == (0, "")
+    assert "\nc_opt=0.0703125\nH_opt=7.03125e+304\n" in out
+    assert "\nc_oracle=0.0703125" in out
+    assert out.endswith("\nH_oracle=7.03125e+304\n")
+
+
 def test_optimize_loyalty_exponent_changes_report(capsys, scenario_file):
     base = run_cli(capsys, ["optimize", "--scenario", scenario_file, "--csv"])[1]
     flat = run_cli(

@@ -624,6 +624,29 @@ def test_optimizers_reject_a_nan_h_past_float_range():
             optimize_oracle(s, 2001)
 
 
+@pytest.mark.parametrize("k, p, c_star, h_star", [
+    (1.0, 1e10, 0.07031249999999999, 7.031249999999997e304),
+    # the finite maximum spans grid points below the first nan one
+    (5.0, 1e4, 1.7578124999999996, 1.757812499999999e306),
+])
+def test_optimizers_skip_a_nan_h_far_below_zero(k, p, c_star, h_star):
+    # beta < 1: where both terms of H overflow the true H is about -1e316,
+    # so the finite interior maximum must still win
+    s = CsrScenario(N=10**153, M=10**153, a=0.5, k=k, beta=0.5, delta=0.5,
+                    p=p, w=0.0)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(hcsr_of_c(p, s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = optimize_constrained(s)
+        assert (report.constrained_opt, report.objective_at_opt) == (c_star, h_star)
+        for points in (2001, 10_000):
+            c, value = optimize_oracle(s, points)
+            assert c == pytest.approx(c_star, rel=1e-6)
+            assert value == pytest.approx(h_star, rel=1e-10)
+            assert value == hcsr_of_c(c, s)
+
+
 # --- comparative statics ---------------------------------------------------
 
 
