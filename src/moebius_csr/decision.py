@@ -1,57 +1,14 @@
-"""Uniform-contribution investment decision on the twisted strip.
+"""The uniform-contribution investment decision on the twisted strip.
 
-When every firm on a ``2N x M`` strip chooses the same contribution level
-``a`` and the same outlay ``c``, the benefit of contributing is priced at
-``2NMa`` per unit outlay, the cooperation weights follow the technology
-rule ``t1 = t2 = t(c) = k * (c * a) ** beta``, and the cost functional
-collapses to a single-variable objective
-
-    H(c) = -2*N*M*a*c
-           + k * c**beta * N * a**(2 + beta) * (2*M*(1 - delta) + 2*(M - 1))
-           + k * c**beta * N * a**(lam + beta)
-
-where ``lam`` is the loyalty exponent (how many contribution factors the
-half-turn pairing carries; 4 by default, 2 for the variant that keeps the
-pairing quadratic like the other terms).  Grouping the powers of ``a``
-gives the bracket
-
-    B = 2*M*(2 - delta) - 2 + a**(lam - 2)
-
-so that  H'(c) = -2*N*M*a + beta*k*c**(beta - 1)*N*a**(2 + beta)*B.
-
-H and H' are evaluated in the technology-rule grouping
-
-    H(c)  = t(c) * a * a * (N*B) - 2*N*M*a*c,
-    H'(c) = beta * t(c) * a * a * (N*B) / c - 2*N*M*a,
-
-``t`` first and then left to right, from one set of constants.  Each
-factor after ``t`` is finite (and ``t`` is 0 whenever ``a`` is), so the
-first term stays finite or overflows to ``inf``, never ``nan``; the
-expanded form's ``c**beta * a**(2 + beta)`` gives ``inf * 0 = nan`` when
-``c**beta`` overflows while ``a**(2 + beta)`` underflows.  H itself is
-``inf - inf = nan`` when both terms overflow; the optimizers rank it by
-the logs of the terms (``_nan_rank``).  Every H that is reported or
-compared across candidates takes the power with ``np.power``, on scalars
-and arrays alike, so a scalar evaluation equals the array evaluation bit
-for bit (libm's ``pow`` differs from NumPy's vectorised one in the last
-bit on some inputs).  Only the golden-section steps inside
-``optimize_oracle``, which compare H at one float at a time and report
-none of it, take the power in Python floats: a NumPy call on a single
-float costs several times the arithmetic it does.
-
-The firm maximizes H over the budget interval ``0 <= c <= p - w`` (sale
-price minus wage).  The stationary point, when one exists, is given on
-both sides of ``beta == 1`` by the one formula
-
-    c* = (2*M / (beta*k*a**(1 + beta)*B)) ** (1/(beta - 1)),
-
-a local minimum of H for ``beta > 1`` (the optimum then sits on a budget
-boundary) and a local maximum for ``beta < 1``.  For ``beta == 1`` the
-derivative is constant and the sign of ``k*a**2*B - 2*M`` decides which
-boundary wins.  A root of ``inf`` means the formula left float range:
-the true root is about 2 for N = M = 1, a = 0.5, k = 1e10, beta = 1e300,
-and about 3e10 for N = M = 1, a = 1e-10, k = 1, beta = 40 (delta = 0.5).
-Feasibility is the sign of the margin ``N*M*a*(p - w - c)``.
+When every firm on a ``2N x M`` strip contributes the same level ``a``
+and spends the same outlay ``c``, the cost functional collapses to one
+objective H(c) (``_objective``), which the firm maximizes over its budget
+``0 <= c <= p - w``.  The module holds the scenario (``CsrScenario``),
+H and its bracket (``hcsr_of_c``, ``bracket``), the stationary point and
+its kind (``stationary_closed_form``, ``classify_stationary``), the
+optimizer over the budget (``optimize_constrained``), a grid oracle that
+does without the closed form (``optimize_oracle``) and the sensitivity of
+the stationary point (``comparative_statics``).
 """
 
 from __future__ import annotations
@@ -100,11 +57,9 @@ STATICS_STEP = 1e-2  # half-width of the central difference in comparative_stati
 
 
 def _scenario_value(key: str, value, kind: type):
-    """``value`` of scenario-file ``key`` converted to ``kind``.
-
-    Raises ValueError naming the key unless ``value`` is a real number
-    other than a bool and, for an int field, finite and integral.
-    """
+    """``value`` of scenario-file ``key`` converted to ``kind``; ValueError
+    naming the key unless it is a real number other than a bool and, for
+    an int field, finite and integral (so ``10.0`` loads as 10)."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             if kind is float:
@@ -118,9 +73,8 @@ def _scenario_value(key: str, value, kind: type):
 
 
 def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
-    """Raise ValueError naming the first field outside the scenario domain;
-    the one statement of it, for ``CsrScenario`` and the stepped fields of
-    ``comparative_statics`` alike."""
+    """Raise ValueError naming the first field outside the scenario domain,
+    for ``CsrScenario`` and the stepped fields of ``comparative_statics``."""
     for name, value in (("a", a), ("k", k), ("beta", beta), ("delta", delta), ("p", p),
                         ("w", w)):
         if not math.isfinite(value):
@@ -156,8 +110,7 @@ class CsrScenario:
     the cooperation weights, ``delta`` the neighborhood discount, ``p``
     the sale price, ``w`` the wage, and ``loyalty_exponent`` the power of
     ``a`` carried by the half-turn pairing (2 or 4).  Counts take ints or
-    NumPy integers (never bools or floats) and must keep ``4*N*M`` within
-    float range; every field is stored as the type ``SCENARIO_KEYS`` names.
+    NumPy integers, never bools or floats.
     """
 
     N: int
@@ -171,9 +124,8 @@ class CsrScenario:
     loyalty_exponent: int = 4
 
     def __post_init__(self) -> None:
-        # each field is stored as the type SCENARIO_KEYS names; a value of
-        # exactly that type (the common case, as in ``replace``) skips the
-        # conversion
+        # store each field as the type SCENARIO_KEYS names; a value of exactly
+        # that type (the common case, as in ``replace``) skips the conversion
         for _, name, kind in SCENARIO_KEYS:
             value = getattr(self, name)
             if type(value) is not kind:
@@ -191,13 +143,9 @@ class CsrScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CsrScenario":
-        """Build from a scenario-file mapping keyed as in ``SCENARIO_KEYS``.
-
-        Every value must be a real number (NumPy scalars included), never a
-        bool.  ``N``, ``M`` and ``lambda`` must also be finite and integral,
-        so ``10.0`` loads as 10; ``lambda`` may be left out and defaults to
-        4.  Anything else raises ValueError naming the key.
-        """
+        """Build from a scenario-file mapping keyed as in ``SCENARIO_KEYS``,
+        each value converted by ``_scenario_value``; an unknown or missing
+        key raises ValueError."""
         unknown = sorted(set(data) - {key for key, _, _ in SCENARIO_KEYS})
         if unknown:
             raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
@@ -228,7 +176,7 @@ class DecisionReport:
     ``stationary`` is the closed-form stationary point (None when there is
     none), reported alongside the true optimum even when the two disagree;
     ``feasible`` states whether the margin ``N*M*a*(p - w - c)`` is
-    non-negative at the chosen outlay (``a == 0`` or ``c <= p - w``).
+    non-negative at the chosen outlay.
     """
 
     stationary: float | None
@@ -240,7 +188,10 @@ class DecisionReport:
 
 
 def bracket(scenario: CsrScenario) -> float:
-    """B = 2*M*(2 - delta) - 2 + a**(lam - 2); strictly positive."""
+    """B = 2*M*(2 - delta) - 2 + a**(lam - 2), strictly positive: the
+    neighborhood (``2*M*(1 - delta)``), sector (``2*(M - 1)``) and loyalty
+    (``a**(lam - 2)``, ``lam`` the loyalty exponent) addends of H per
+    ``k*(c*a)**beta*a*a*N``."""
     s = scenario
     return _bracket(s.M, s.a, s.delta, s.loyalty_exponent)
 
@@ -258,13 +209,21 @@ def _float_pow(x: float, y: float) -> float:
 
 
 def _objective(scenario: CsrScenario, power=np.power):
-    """``(h, dh)``: H and H' of the outlay, from constants computed once.
+    """H(c) = t(c) * a * a * (N*B) - 2*N*M*a*c, with ``t(c) = k * (c*a)**beta``
+    the technology rule for the cooperation weights and ``2*N*M*a`` the
+    price of a unit outlay.
 
-    Both take a float or a float64 array of outlays (``>= 0`` for ``h``,
-    ``> 0`` for ``dh``) and do no checks.  ``power`` takes ``(c*a)**beta``:
-    with the default ``np.power`` callers hold
-    ``np.errstate(over="ignore")``; with ``_float_pow`` both take Python
-    floats only and never warn.
+    Taken ``t`` first and then left to right, the gain is finite or
+    ``inf``, never the ``inf * 0`` of the expanded ``c**beta * a**(2 +
+    beta)``; H is ``inf - inf = nan`` only where both terms overflow
+    (``_nan_rank``).  The returned function takes a float or a float64
+    array of outlays ``>= 0`` and checks nothing.  Every H that is
+    reported or compared takes ``(c*a)**beta`` by ``power=np.power``,
+    under ``np.errstate(over="ignore")``, so a scalar H equals the array H
+    bit for bit (libm's ``pow`` differs from NumPy's in the last bit on
+    some inputs).  Only ``optimize_oracle``'s golden section, which
+    reports none of its H, passes ``_float_pow``: a NumPy call on one
+    float costs several times its arithmetic.
     """
     s = scenario
     a, k, beta = s.a, s.k, s.beta
@@ -274,35 +233,19 @@ def _objective(scenario: CsrScenario, power=np.power):
     def h(c):
         return k * power(c * a, beta) * a * a * nb - slope * c
 
-    def dh(c):
-        return beta * k * power(c * a, beta) * a * a * nb / c - slope
-
-    return h, dh
-
-
-def _at_outlays(f, c, positive: bool):
-    """``f(c)`` after checking that every outlay is finite and ``>= 0``
-    (``> 0`` when ``positive``); a float for scalar ``c``."""
-    arr = np.asarray(c, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("c must be finite")
-    if np.any(arr <= 0.0 if positive else arr < 0.0):
-        raise ValueError("c must be > 0" if positive else "c must be >= 0")
-    with np.errstate(over="ignore"):
-        value = f(arr)
-    if arr.ndim == 0:
-        return float(value)
-    return value
+    return h
 
 
 def hcsr_of_c(c, scenario: CsrScenario):
     """Objective H(c); accepts a scalar or an array of outlays >= 0."""
-    return _at_outlays(_objective(scenario)[0], c, positive=False)
-
-
-def dhcsr_dc(c, scenario: CsrScenario):
-    """Derivative H'(c) for outlays > 0; scalar or array."""
-    return _at_outlays(_objective(scenario)[1], c, positive=True)
+    arr = np.asarray(c, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("c must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("c must be >= 0")
+    with np.errstate(over="ignore"):
+        value = _objective(scenario)(arr)
+    return float(value) if arr.ndim == 0 else value
 
 
 def beta_regime(scenario: CsrScenario) -> BetaRegime:
@@ -314,12 +257,15 @@ def beta_regime(scenario: CsrScenario) -> BetaRegime:
 
 
 def stationary_closed_form(scenario: CsrScenario) -> float | None:
-    """Positive root of H'(c) = 0, or None when no stationary point exists.
+    """The stationary point of H (H'(c) = 0), or None when there is none:
 
-    There is none for ``beta == 1`` (constant derivative) and for ``a == 0``
-    (H vanishes identically).  Extreme parameter combinations can push the
-    root past float range; the overflow is returned as ``inf`` rather than
-    raised, and downstream code treats it as lying beyond any budget.
+        c* = (2*M / (beta*k*a**(1 + beta)*B)) ** (1/(beta - 1)),
+
+    a local minimum of H for ``beta > 1`` (the best outlay then sits on a
+    budget boundary) and a local maximum for ``beta < 1``.  At ``beta ==
+    1`` H' is constant and the sign of ``k*a**2*B - 2*M`` picks the
+    boundary; at ``a == 0`` H vanishes.  A root past float range comes
+    back as ``inf``, which callers treat as lying beyond any budget.
     """
     s = scenario
     return _root(s.M, s.a, s.k, s.beta, s.delta, s.loyalty_exponent)
@@ -329,11 +275,10 @@ def _root(M, a, k, beta, delta, loyalty_exponent) -> float | None:
     """``stationary_closed_form`` of the plain fields, unchecked."""
     if beta == 1.0 or a == 0.0:
         return None
-    # a**(1 + beta) may underflow to 0; the base is then inf and the root
-    # inf (beta > 1) or 0 (beta < 1).  The power is the first factor and
-    # the others are finite, so the product never forms inf * 0.  Python
-    # floats raise where NumPy would return inf: 2M / 0, a finite power
-    # past float range, and 0.0 to a negative power.
+    # a**(1 + beta) may underflow to 0, and the base is then inf; as the
+    # first factor before finite ones it never forms inf * 0.  Python floats
+    # raise where NumPy would return inf: 2M / 0, a finite power past float
+    # range, and 0.0 to a negative power.
     try:
         b = _bracket(M, a, delta, loyalty_exponent)
         base = 2.0 * M / (a ** (1.0 + beta) * b * k * beta)
@@ -353,9 +298,8 @@ _STATIONARY_KIND = {
 
 
 def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
-    """Nature of the stationary point: minimum above the knife edge
-    (``beta > 1``), maximum below it, constant derivative at ``beta == 1``.
-    Returns None when H has no stationary point (``a == 0``, ``beta != 1``)."""
+    """Kind of ``stationary_closed_form``'s point by the regime of beta;
+    None when H has none (``a == 0``, ``beta != 1``)."""
     regime = beta_regime(scenario)
     if scenario.a == 0.0 and regime is not BetaRegime.BETA_EQUAL_ONE:
         return None
@@ -363,10 +307,9 @@ def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
 
 
 def _nan_rank(c, scenario: CsrScenario):
-    """Rank of a NaN H at outlays ``c > 0`` (float or array).  Such an H is
-    ``inf - inf``, both terms past float range; it ranks as ``inf`` where
-    the log of ``t * a * a * (N*B)`` exceeds that of ``2*N*M*a*c``, else
-    as ``-inf``."""
+    """Rank of a NaN H (``inf - inf``) at outlays ``c > 0``, float or
+    array: ``inf`` where the log of ``t * a * a * (N*B)`` exceeds that of
+    ``2*N*M*a*c``, else ``-inf``."""
     s = scenario
     gain = (math.log(s.k) + s.beta * np.log(c * s.a) + 2.0 * math.log(s.a)
             + math.log(s.N * bracket(s)))
@@ -417,14 +360,10 @@ def _golden_max(f, lo: float, hi: float) -> float:
 
 
 def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
-    """Maximize H over the budget interval [0, p - w].
-
-    Candidates are the two boundaries plus the interior stationary point
-    when it is a local maximum inside the interval; ties go to the
-    smallest outlay.  With ``p < w`` the budget is empty, the outlay is
-    zero, and the report comes back infeasible (except in the degenerate
-    ``a == 0`` case, where the margin constraint holds trivially).
-    """
+    """Maximize H over the budget interval [0, p - w]: ``_best`` of the
+    two boundaries and of c* when it is a local maximum inside.  With
+    ``p < w`` the budget is empty, the outlay 0 and the report infeasible
+    unless ``a == 0``, where the margin vanishes."""
     s = scenario
     budget = max(0.0, s.p - s.w)
     stationary = stationary_closed_form(s)
@@ -436,7 +375,7 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
         if kind is StationaryKind.LOCAL_MAX and 0.0 < stationary < budget:
             candidates.append(stationary)
         candidates.append(budget)
-    h = _objective(s)[0]
+    h = _objective(s)
     with np.errstate(over="ignore", invalid="ignore"):
         best_c, best_h = _best([(c, float(h(c))) for c in candidates], s)
 
@@ -452,11 +391,13 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
 
 def _uniform_grid(stop: float, n: int) -> np.ndarray:
     """``np.linspace(0.0, stop, n)`` bit for bit, for ``stop >= 0`` and
-    ``n >= 2``, without its per-call overhead."""
+    ``n >= 2``, without its per-call overhead, and clamped to ``stop``."""
     grid = np.arange(n, dtype=np.float64)
     step = stop / (n - 1)
     if step:
         grid *= step
+        if step < 2.0**-1022:  # a subnormal step keeps few bits and overshoots
+            np.minimum(grid, stop, out=grid)
     else:  # the step underflowed to 0; np.linspace then scales in two
         grid /= n - 1
         grid *= stop
@@ -467,21 +408,15 @@ def _uniform_grid(stop: float, n: int) -> np.ndarray:
 def optimize_oracle(
     scenario: CsrScenario, grid_points: int = 10_000
 ) -> tuple[float, float]:
-    """Grid-plus-refinement maximizer of H, independent of the closed form.
-
-    Scans a uniform grid over the budget, refines the best bracket by
-    ``_golden_max``, and keeps the exact boundaries as candidates.
-    Returns ``(c, H(c))``; ties go to the smallest outlay, and a winning H
-    past float range raises ValueError.  The candidates 0, the grid's peak
-    and the budget are grid points, so their H comes from the grid's
-    scores; only the refined point is scored afresh, also with
-    ``np.power``, so the returned H equals ``hcsr_of_c(c)`` bit for bit.
-    """
+    """Grid-plus-refinement maximizer of H, independent of the closed form:
+    ``_best`` of 0, the peak of a uniform grid over the budget, its
+    refinement by ``_golden_max`` and the budget, as ``(c, H(c))``.  Only
+    the refinement is scored afresh; the others keep their grid scores."""
     s = scenario
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
-    h = _objective(s)[0]
+    h = _objective(s)
     if budget == 0.0:
         return _best([(0.0, float(h(0.0)))], s)
     grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
@@ -491,7 +426,7 @@ def optimize_oracle(
         if math.isnan(values[peak]):  # argmax stops at the first NaN
             peak = int(np.argmax(np.where(np.isnan(values), _nan_rank(grid, s), values)))
         refined = _golden_max(
-            _objective(s, power=_float_pow)[0],
+            _objective(s, power=_float_pow),
             float(grid[max(peak - 1, 0)]),
             float(grid[min(peak + 1, grid_points - 1)]),
         )

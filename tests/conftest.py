@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the package's own kernels: plain
 Python loops for the bilinear sums (same fixed order, so results must
-match bit for bit), bisection for first-order-condition roots, and
-``numpy.linalg`` for spectra.
+match bit for bit), bisection for first-order-condition roots of H' in
+the paper's expanded form, and ``numpy.linalg`` for spectra.
 """
 
 from __future__ import annotations
@@ -124,6 +124,19 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def dhcsr_expanded(c: float, s: CsrScenario) -> float:
+    """H'(c) in the paper's expanded form, addend by addend and without the
+    package's grouping: the outlay's price, then the neighborhood and sector
+    addends and the loyalty addend, each differentiated in c."""
+    scale = s.beta * s.k * c ** (s.beta - 1.0) * s.N
+    neighborhood_and_sector = 2.0 * s.M * (1.0 - s.delta) + 2.0 * (s.M - 1)
+    return (
+        -2.0 * s.N * s.M * s.a
+        + scale * s.a ** (2.0 + s.beta) * neighborhood_and_sector
+        + scale * s.a ** (s.loyalty_exponent + s.beta)
+    )
 
 
 def ring_dispersion(N: int, t1: float, phi: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import bisect_root, random_scenario, ring_dispersion
+from conftest import bisect_root, dhcsr_expanded, random_scenario, ring_dispersion
 from moebius_csr import cli, csr_cost
 from moebius_csr.decision import (
     CsrScenario,
@@ -24,7 +24,6 @@ from moebius_csr.decision import (
     bracket,
     classify_stationary,
     comparative_statics,
-    dhcsr_dc,
     hcsr_of_c,
     optimize_constrained,
     optimize_oracle,
@@ -53,7 +52,7 @@ def test_criterion_01_closed_form_roots(s0, s1):
     with criterion(1, "closed-form stationary points match bisection roots in < 1 s"):
         start = time.perf_counter()
         for s, expected in ((s0, 1.367521), (s1, 0.267363)):
-            root = bisect_root(lambda c: dhcsr_dc(c, s), 1e-6, 10.0)
+            root = bisect_root(lambda c: dhcsr_expanded(c, s), 1e-6, 10.0)
             closed = stationary_closed_form(s)
             assert abs(closed - root) <= 1e-10 * abs(root)
             assert closed == pytest.approx(expected, abs=5e-7)

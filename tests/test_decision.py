@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_root, random_scenario
-from moebius_csr import csr_cost
+from conftest import bisect_root, dhcsr_expanded, random_scenario
 from moebius_csr.decision import (
     SCENARIO_KEYS,
     STATICS_STEP,
@@ -21,7 +20,6 @@ from moebius_csr.decision import (
     bracket,
     classify_stationary,
     comparative_statics,
-    dhcsr_dc,
     hcsr_of_c,
     optimize_constrained,
     optimize_oracle,
@@ -217,16 +215,13 @@ def test_hcsr_scalar_equals_array_bitwise_property(s, data):
     grid = np.linspace(0.0, budget, 17)
     picks = data.draw(st.lists(st.floats(0.0, max(budget, 1.0)), max_size=8))
     outlays = np.concatenate([grid, picks, [1.0]])
-    positive = outlays[outlays > 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or 0 * inf warnings
-        # H over every outlay, H' over the positive ones
-        for f, xs in ((hcsr_of_c, outlays), (dhcsr_dc, positive)):
-            values = f(xs, s)
-            for c, v in zip(xs, values):
-                scalar = f(float(c), s)
-                assert not math.isnan(scalar)
-                assert scalar == v
+        values = hcsr_of_c(outlays, s)
+        for c, v in zip(outlays, values):
+            scalar = hcsr_of_c(float(c), s)
+            assert not math.isnan(scalar)
+            assert scalar == v
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -280,36 +275,11 @@ def test_bracket_positive_everywhere():
         assert bracket(random_scenario(rng)) > 0.0
 
 
-def test_derivative_matches_finite_difference():
-    rng = np.random.default_rng(101)
-    for _ in range(40):
-        s = random_scenario(rng)
-        c = float(rng.uniform(0.2, 2.0))
-        h = 1e-6 * c
-        fd = (hcsr_of_c(c + h, s) - hcsr_of_c(c - h, s)) / (2.0 * h)
-        an = dhcsr_dc(c, s)
-        assert an == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-def test_derivative_finite_where_power_of_a_underflows():
-    # the expanded c**(beta - 1) * a**(2 + beta) gave inf * 0 = nan here
-    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert dhcsr_dc(1e10, s) == pytest.approx(-2e-10, rel=1e-12)
-        assert dhcsr_dc(np.array([1e10]), s)[0] == dhcsr_dc(1e10, s)
-
-
-def test_derivative_rejects_nonpositive_c(s0):
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            dhcsr_dc(bad, s0)
-
-
 def test_beta_one_derivative_is_constant(s2):
-    d1 = dhcsr_dc(0.3, s2)
-    d2 = dhcsr_dc(1.7, s2)
-    assert d1 == pytest.approx(d2, rel=1e-14)
+    # H is linear in c, so its difference quotients agree
+    d1 = (hcsr_of_c(0.3, s2) - hcsr_of_c(0.0, s2)) / 0.3
+    d2 = (hcsr_of_c(1.7, s2) - hcsr_of_c(0.3, s2)) / 1.4
+    assert d1 == pytest.approx(d2, rel=1e-12)
     # sign rule: k a^2 [2M(2-delta)-2+a^2] - 2M, positive here
     sign_value = s2.k * s2.a**2 * bracket(s2) - 2 * s2.M
     assert sign_value == pytest.approx(0.8681, abs=1e-10)
@@ -328,7 +298,7 @@ def test_stationary_reference_values(s0, s1):
 
 def test_stationary_agrees_with_bisection(s0, s1):
     for s in (s0, s1):
-        root = bisect_root(lambda c: dhcsr_dc(c, s), 1e-6, 10.0)
+        root = bisect_root(lambda c: dhcsr_expanded(c, s), 1e-6, 10.0)
         assert stationary_closed_form(s) == pytest.approx(root, rel=1e-10)
 
 
@@ -420,7 +390,7 @@ def test_foc_consistency_property():
         c_star = stationary_closed_form(s)
         assert c_star is not None and math.isfinite(c_star) and c_star > 0
         scale = 2.0 * s.N * s.M * s.a
-        assert abs(dhcsr_dc(c_star, s)) <= 1e-9 * scale
+        assert abs(dhcsr_expanded(c_star, s)) <= 1e-9 * scale
 
 
 def test_stationary_continuity_near_knife_edge(s0):
@@ -571,17 +541,23 @@ def test_oracle_equivalence_property():
 
 def _oracle_budgets(rng):
     """Budgets from subnormals, where the grid step underflows to 0, to 1e308."""
-    budgets = [0.0, 4e-323, 1e-321, 1e-300, 1.0, 3.0, 1e308]
+    # np.linspace(0, 1.85793e-319, 2001) has 20 points above its stop
+    budgets = [0.0, 4e-323, 1e-321, 1.85793e-319, 1e-300, 1.0, 3.0, 1e308]
     return budgets + list(10.0 ** rng.uniform(-323.0, 308.0, 300) * rng.random(300))
 
 
 def test_oracle_grid_is_linspace_bitwise():
+    # np.linspace overshoots its stop only where the step is subnormal, and
+    # the grid is clamped to the budget there
     rng = np.random.default_rng(909)
     budgets = _oracle_budgets(rng)
     for budget in budgets:
         for n in (2, 3, 2001, int(rng.integers(2, 5000))):
             grid = _uniform_grid(float(budget), n)
-            assert grid.tobytes() == np.linspace(0.0, budget, n).tobytes()
+            linspace = np.linspace(0.0, budget, n)
+            assert grid.tobytes() == np.minimum(linspace, budget).tobytes()
+            if budget / (n - 1) >= 2.0**-1022:
+                assert grid.tobytes() == linspace.tobytes()
 
 
 def test_oracle_refinement_ends_for_every_budget():
@@ -590,7 +566,7 @@ def test_oracle_refinement_ends_for_every_budget():
     s = CsrScenario(N=1, M=1, a=0.5, k=1.0, beta=0.5, delta=0.5, p=1.0, w=0.0)
     for budget in map(float, _oracle_budgets(np.random.default_rng(909))):
         c_ref, h_ref = optimize_oracle(replace(s, p=budget), 2001)
-        assert c_ref >= 0.0 and math.isfinite(h_ref)
+        assert 0.0 <= c_ref <= budget and math.isfinite(h_ref)
         for lo, hi in ((0.0, budget / 2000), (0.0, budget), (0.999 * budget, budget)):
             for slope in (1.0, -1.0, 0.0):
                 calls = []
@@ -789,3 +765,61 @@ def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
     # stepping beta across 1 is refused rather than silently mixing regimes
     with pytest.raises(ValueError):
         comparative_statics(replace(s0, beta=1.005), "beta")
+
+
+# --- the paper's result over the whole valid domain --------------------------
+
+
+def paper_scenarios(beta):
+    """Scenarios across the domain the paper's claims are read on, with a
+    positive budget ``p - w``."""
+    return st.builds(
+        CsrScenario,
+        N=st.integers(1, 19),
+        M=st.integers(1, 9),
+        a=st.floats(0.05, 0.95),
+        k=_log_uniform(-2.0, 2.0),
+        beta=beta,
+        delta=st.floats(0.05, 0.95),
+        p=st.floats(2.001, 1e3),
+        w=st.floats(0.0, 2.0),
+        loyalty_exponent=st.sampled_from([2, 4]),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(paper_scenarios(st.one_of(st.floats(0.01, 1.0, exclude_max=True),
+                                 st.floats(1.0, 10.0, exclude_min=True))))
+def test_statics_sign_table_property(s):
+    # c* = (2M / (beta*k*a**(1 + beta)*B)) ** (1/(beta - 1)).  M/B falls
+    # with M, since d(M/B)/dM = (a**(lam - 2) - 2)/B**2 and a < 1, and B
+    # falls with delta.  So below the knife edge c* rises with the number
+    # of sectors and falls with the decay rate; above it both signs reverse.
+    c_star = stationary_closed_form(s)
+    if not 0.0 < c_star < math.inf:
+        reject()  # a root outside float range carries no sign
+    below = 1.0 if s.beta < 1.0 else -1.0
+    for param, sign in (("M", below), ("delta", -below)):
+        try:
+            diff = comparative_statics(s, param)
+        except ValueError as exc:
+            assert str(exc).startswith(f"sensitivity to {param} is not finite")
+            continue
+        assert sign * diff > 0.0, param
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(paper_scenarios(st.one_of(st.floats(0.01, 10.0), st.just(1.0))))
+def test_invest_rule_property(s):
+    # with budget b = p - w > 0 the firm invests (c_opt > 0) exactly when
+    # beta < 1, or when k * a**(1 + beta) * B * b**(beta - 1) > 2M: for
+    # beta > 1 that is H(b) > 0, at beta == 1 the sign of the constant slope
+    b = s.p - s.w
+    threshold = s.k * s.a ** (1.0 + s.beta) * bracket(s) * b ** (s.beta - 1.0)
+    if abs(threshold - 2.0 * s.M) <= 1e-12 * 2.0 * s.M:
+        reject()  # too close to call in floats
+    c_star = stationary_closed_form(s)
+    if s.beta < 1.0 and not c_star >= 2.0**-1022:
+        reject()  # the maximum lies below every normal float outlay
+    invests = s.beta < 1.0 or threshold > 2.0 * s.M
+    assert (optimize_constrained(s).constrained_opt > 0.0) == invests
