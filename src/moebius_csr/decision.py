@@ -13,6 +13,7 @@ the stationary point (``comparative_statics``).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import numbers
@@ -200,30 +201,33 @@ def _bracket(M, a, delta, loyalty_exponent) -> float:
     return 2.0 * M * (2.0 - delta) - 2.0 + a ** (loyalty_exponent - 2)
 
 
-def _float_pow(x: float, y: float) -> float:
-    """``x ** y`` in Python floats, ``inf`` past float range."""
-    try:
-        return x**y
-    except OverflowError:
-        return math.inf
+_NO_ERRSTATE = contextlib.nullcontext()
 
 
-def _objective(scenario: CsrScenario, power=np.power):
+def _objective(scenario: CsrScenario, budget: float):
     """H(c) = t(c) * a * a * (N*B) - 2*N*M*a*c, with ``t(c) = k * (c*a)**beta``
     the technology rule for the cooperation weights and ``2*N*M*a`` the
-    price of a unit outlay.
+    price of a unit outlay, so H(0) = 0; as ``(h, h_float, errstate)`` for
+    outlays in ``[0, budget]``.
 
     Taken ``t`` first and then left to right, the gain is finite or
     ``inf``, never the ``inf * 0`` of the expanded ``c**beta * a**(2 +
-    beta)``; H is ``inf - inf = nan`` only where both terms overflow
-    (``_nan_rank``).  The returned function takes a float or a float64
-    array of outlays ``>= 0`` and checks nothing.  Every H that is
-    reported or compared takes ``(c*a)**beta`` by ``power=np.power``,
-    under ``np.errstate(over="ignore")``, so a scalar H equals the array H
+    beta)``.  ``h`` takes a float or a float64 array of outlays and checks
+    nothing.  Every H that is reported or compared comes from ``h``, which
+    takes ``(c*a)**beta`` by ``np.power``, so a scalar H equals the array H
     bit for bit (libm's ``pow`` differs from NumPy's in the last bit on
-    some inputs).  Only ``optimize_oracle``'s golden section, which
-    reports none of its H, passes ``_float_pow``: a NumPy call on one
-    float costs several times its arithmetic.
+    some inputs).  ``h_float`` is H in Python floats, ``inf`` where the
+    power leaves float range, for ``optimize_oracle``'s golden section,
+    which reports none of its H: a NumPy call on one float costs several
+    times its arithmetic.
+
+    Every call of ``h`` runs inside ``errstate``, entered once.  For ``beta
+    > 0`` both terms of H rise with c, so ``t``, the gain and the loss at
+    the budget bound every term on ``[0, budget]``.  Where all three lie
+    below 2**1020, a margin under float max for the last-bit differences
+    of ``pow``, no H leaves float range and ``errstate`` is a no-op;
+    elsewhere it is an ``np.errstate`` that silences overflow, and H is
+    ``inf - inf = nan`` where both terms overflow (``_nan_rank``).
     """
     s = scenario
     a, k, beta = s.a, s.k, s.beta
@@ -231,20 +235,42 @@ def _objective(scenario: CsrScenario, power=np.power):
     slope = 2.0 * s.N * s.M * s.a
 
     def h(c):
-        return k * power(c * a, beta) * a * a * nb - slope * c
+        return k * np.power(c * a, beta) * a * a * nb - slope * c
 
-    return h
+    def h_float(c):
+        try:
+            t = k * (c * a) ** beta
+        except OverflowError:
+            t = math.inf
+        return t * a * a * nb - slope * c
+
+    try:
+        t = k * (budget * a) ** beta
+    except OverflowError:
+        t = math.inf
+    if max(t, t * a * a * nb, slope * budget) < 2.0**1020:
+        return h, h_float, _NO_ERRSTATE
+    return h, h_float, np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
+def _past_range(c, value) -> ValueError:
+    return ValueError(f"H past float range at outlay c={c!r} (H={value!r})")
 
 
 def hcsr_of_c(c, scenario: CsrScenario):
-    """Objective H(c); accepts a scalar or an array of outlays >= 0."""
+    """Objective H(c); accepts a scalar or an array of outlays >= 0.  An H
+    past float range raises ValueError naming the first such outlay."""
     arr = np.asarray(c, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("c must be finite")
     if np.any(arr < 0.0):
         raise ValueError("c must be >= 0")
-    with np.errstate(over="ignore"):
-        value = _objective(scenario)(arr)
+    h, _, errstate = _objective(scenario, float(np.max(arr, initial=0.0)))
+    with errstate:
+        value = h(arr)
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        raise _past_range(float(arr[bad].flat[0]), float(value[bad].flat[0]))
     return float(value) if arr.ndim == 0 else value
 
 
@@ -327,7 +353,7 @@ def _best(scored, scenario: CsrScenario) -> tuple[float, float]:
         key=lambda cv: cv[1] if cv[1] == cv[1] else float(_nan_rank(cv[0], scenario)),
     )
     if not math.isfinite(value):
-        raise ValueError(f"H past float range at outlay c={c!r} (H={value!r})")
+        raise _past_range(c, value)
     return c, value
 
 
@@ -369,15 +395,19 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
     stationary = stationary_closed_form(s)
     kind = classify_stationary(s)
 
-    candidates = [0.0]
+    scored = [(0.0, 0.0)]
     if budget > 0.0:
-        # LOCAL_MAX means beta < 1 and a > 0, so the root exists
-        if kind is StationaryKind.LOCAL_MAX and 0.0 < stationary < budget:
-            candidates.append(stationary)
-        candidates.append(budget)
-    h = _objective(s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        best_c, best_h = _best([(c, float(h(c))) for c in candidates], s)
+        outlays = [budget]
+        # LOCAL_MAX means beta < 1 and a > 0, so the root exists; one that
+        # underflowed to 0 stands for the outlay where c*a is the least float
+        if kind is StationaryKind.LOCAL_MAX:
+            interior = stationary or math.ulp(0.0) / s.a
+            if interior < budget:
+                outlays.insert(0, interior)
+        h, _, errstate = _objective(s, budget)
+        with errstate:
+            scored += [(c, float(h(c))) for c in outlays]
+    best_c, best_h = _best(scored, s)
 
     return DecisionReport(
         stationary=stationary,
@@ -416,22 +446,20 @@ def optimize_oracle(
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     budget = max(0.0, s.p - s.w)
-    h = _objective(s)
     if budget == 0.0:
-        return _best([(0.0, float(h(0.0)))], s)
+        return 0.0, 0.0  # H(0) = 0
+    h, h_float, errstate = _objective(s, budget)
     grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with errstate:
         values = h(grid)
-        peak = int(np.argmax(values))
+        peak = int(values.argmax())
         if math.isnan(values[peak]):  # argmax stops at the first NaN
-            peak = int(np.argmax(np.where(np.isnan(values), _nan_rank(grid, s), values)))
+            peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
         refined = _golden_max(
-            _objective(s, power=_float_pow),
-            float(grid[max(peak - 1, 0)]),
-            float(grid[min(peak + 1, grid_points - 1)]),
+            h_float, grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, grid_points - 1))
         )
         scored = [(refined, float(h(refined)))]
-    scored += [(float(grid[i]), float(values[i])) for i in (0, peak, grid_points - 1)]
+    scored += [(grid.item(i), values.item(i)) for i in (0, peak, grid_points - 1)]
     return _best(sorted(scored), s)
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import struct
+import sys
 import warnings
 from dataclasses import replace
 
@@ -24,8 +26,10 @@ from moebius_csr.decision import (
     optimize_constrained,
     optimize_oracle,
     stationary_closed_form,
+    _best,
     _check_domain,
     _golden_max,
+    _nan_rank,
     _uniform_grid,
 )
 
@@ -217,11 +221,19 @@ def test_hcsr_scalar_equals_array_bitwise_property(s, data):
     outlays = np.concatenate([grid, picks, [1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or 0 * inf warnings
-        values = hcsr_of_c(outlays, s)
-        for c, v in zip(outlays, values):
-            scalar = hcsr_of_c(float(c), s)
-            assert not math.isnan(scalar)
-            assert scalar == v
+        scalars = []
+        for c in outlays:
+            try:
+                scalars.append(hcsr_of_c(float(c), s))
+            except ValueError as exc:  # H past float range
+                scalars.append(str(exc))
+        finite = np.array([type(v) is float for v in scalars])
+        values = hcsr_of_c(outlays[finite], s)
+        assert list(values) == [v for v in scalars if type(v) is float]
+        if not finite.all():  # the array names its first outlay past float range
+            message = scalars[int(np.argmin(finite))]
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                hcsr_of_c(outlays, s)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -230,6 +242,10 @@ def test_hcsr_scalar_equals_array_bitwise_property(s, data):
 # 1e-10 * budget left a relative H gap of 3.4e-9 here
 @example(CsrScenario(N=1, M=1, a=0.5, k=1.0, beta=0.5, delta=0.5, p=211070.0,
                      w=0.0, loyalty_exponent=2))
+# the root underflows to 0 while H(1e-323) = 3.125e-6 > H(0): the optimizer
+# that tried only the boundaries then reported c = 0, H = 0
+@example(CsrScenario(N=10**25, M=1, a=0.5, k=1e-30, beta=1e-300, delta=0.5, p=1.0,
+                     w=0.0))
 def test_optimizer_matches_oracle_property(s):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # closed-form root
@@ -581,6 +597,11 @@ def test_optimizers_reject_a_winning_h_past_float_range():
     message = r"^H past float range at outlay c={} \(H=inf\)$"
     with pytest.raises(ValueError, match=message.format(r"3\.0")):
         optimize_constrained(s)
+    # hcsr_of_c names the first such outlay, of a scalar or an array
+    with pytest.raises(ValueError, match=message.format(r"3\.0")):
+        hcsr_of_c(3.0, s)
+    with pytest.raises(ValueError, match=message.format(r"2\.5")):
+        hcsr_of_c(np.array([[1.0, 2.0], [2.5, 3.0]]), s)
     # the oracle's first candidate past c = 2 wins the tie among the infs
     with pytest.raises(ValueError, match=message.format(r"2\.0\d*")):
         optimize_oracle(s, 2001)
@@ -610,10 +631,11 @@ def test_optimizers_skip_a_nan_h_far_below_zero(k, p, c_star, h_star):
     # so the finite interior maximum must still win
     s = CsrScenario(N=10**153, M=10**153, a=0.5, k=k, beta=0.5, delta=0.5,
                     p=p, w=0.0)
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(hcsr_of_c(p, s))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        message = f"H past float range at outlay c={p!r} (H=nan)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hcsr_of_c(p, s)
         report = optimize_constrained(s)
         assert (report.constrained_opt, report.objective_at_opt) == (c_star, h_star)
         for points in (2001, 10_000):
@@ -621,6 +643,111 @@ def test_optimizers_skip_a_nan_h_far_below_zero(k, p, c_star, h_star):
             assert c == pytest.approx(c_star, rel=1e-6)
             assert value == pytest.approx(h_star, rel=1e-10)
             assert value == hcsr_of_c(c, s)
+
+
+def _errstate_optimizers(s, grid_points=2001):
+    """Both optimizers as ``(c, H)`` or their error message, with every H
+    scored under ``np.errstate``, the oracle's grid from ``np.linspace``
+    and its golden section over H in Python floats: the reference for the
+    package, which enters the error state only where the budget says H
+    can leave float range."""
+    budget = max(0.0, s.p - s.w)
+    a, k, beta = s.a, s.k, s.beta
+    nb = s.N * bracket(s)
+    slope = 2.0 * s.N * s.M * s.a
+
+    def h(c):
+        return k * np.power(c * a, beta) * a * a * nb - slope * c
+
+    def h_float(c):
+        try:
+            t = (c * a) ** beta
+        except OverflowError:
+            t = math.inf
+        return k * t * a * a * nb - slope * c
+
+    def best(scored):
+        try:
+            return _best(sorted(scored), s)
+        except ValueError as exc:
+            return str(exc)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        outlays = [0.0]
+        if budget > 0.0:
+            if classify_stationary(s) is StationaryKind.LOCAL_MAX:
+                interior = stationary_closed_form(s) or math.ulp(0.0) / a
+                outlays += [interior] if interior < budget else []
+            outlays.append(budget)
+        constrained = best([(c, float(h(c))) for c in outlays])
+        if budget == 0.0:
+            return constrained, (0.0, 0.0)
+        grid = np.minimum(np.linspace(0.0, budget, grid_points), budget)
+        values = h(grid)
+        peak = int(np.argmax(np.where(np.isnan(values), _nan_rank(grid, s), values)))
+        bracket_ends = grid[max(peak - 1, 0)], grid[min(peak + 1, grid_points - 1)]
+        refined = _golden_max(h_float, *map(float, bracket_ends))
+        scored = [(float(grid[i]), float(values[i])) for i in (0, peak, grid_points - 1)]
+        return constrained, best(scored + [(refined, float(h(refined)))])
+
+
+# k * (c*a)**beta is finite in Python floats at the budget 2 * 3.25...,
+# but NumPy's pow rounds (c*a)**beta one bit higher, past float max
+_POW_ROUNDS_PAST_MAX = CsrScenario(N=1, M=1, a=0.5, k=1.0793482593468371e307,
+                                   beta=2.3848423025793943, delta=0.5,
+                                   p=2 * 3.252488904664145, w=0.0)
+
+
+def _extreme_scenarios(rng, count):
+    """Scenarios over the whole domain: N and M to 1e150, a down to
+    subnormals, k to 1e308, beta near 0, near 1 and to 1e300, budgets from
+    subnormal to 1e300; in half of them k puts t, or the gain, at the
+    budget within a factor 64 of float max."""
+    def exp10(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    out = []
+    while len(out) < count:
+        field = dict(
+            N=int(exp10(0, 150)), M=int(exp10(0, 150)),
+            a=float(rng.choice([rng.random(), exp10(-323, 0)])), k=exp10(-300, 308),
+            beta=float(rng.choice([exp10(-300, -3), 1.0 + rng.uniform(-1e-6, 1e-6),
+                                   rng.uniform(0.05, 5.0), exp10(0, 300)])),
+            delta=rng.uniform(0.01, 0.99), p=exp10(-323, 300), w=0.0,
+            loyalty_exponent=int(rng.choice([2, 4])),
+        )
+        try:
+            s = CsrScenario(**field)
+            if rng.random() < 0.5:
+                t = (s.p * s.a) ** s.beta / sys.float_info.max
+                scale = t * s.a * s.a * s.N * bracket(s) if rng.random() < 0.5 else t
+                s = replace(s, k=2.0 ** rng.uniform(-6.0, 6.0) / scale)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            continue
+        out.append(s)
+    return out
+
+
+def test_optimizers_equal_errstate_reference_bitwise_property():
+    # the package skips np.errstate where the budget bounds every H below
+    # float max; any H it then let overflow would warn (an error here) or
+    # differ from the reference
+    rng = np.random.default_rng(2020)
+    for s in [_POW_ROUNDS_PAST_MAX, *_extreme_scenarios(rng, 1000)]:
+        ref_constrained, ref_oracle = _errstate_optimizers(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = optimize_constrained(s)
+                constrained = report.constrained_opt, report.objective_at_opt
+            except ValueError as exc:
+                constrained = str(exc)
+            try:
+                oracle = optimize_oracle(s, 2001)
+            except ValueError as exc:
+                oracle = str(exc)
+        assert repr(constrained) == repr(ref_constrained), s
+        assert repr(oracle) == repr(ref_oracle), s
 
 
 # --- comparative statics ---------------------------------------------------
