@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
@@ -55,6 +56,7 @@ SCENARIO_KEYS = (
 LOYALTY_EXPONENTS = (2, 4)
 
 STATICS_STEP = 1e-2  # half-width of the central difference in comparative_statics
+_NO_ERRSTATE = contextlib.nullcontext()  # _objective's error state where H stays finite
 
 
 def _scenario_value(key: str, value, kind: type):
@@ -76,10 +78,10 @@ def _scenario_value(key: str, value, kind: type):
 def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
     """Raise ValueError naming the first field outside the scenario domain,
     for ``CsrScenario`` and the stepped fields of ``comparative_statics``."""
-    for name, value in (("a", a), ("k", k), ("beta", beta), ("delta", delta), ("p", p),
-                        ("w", w)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(a + k + beta + delta + p + w):  # else every field is finite
+        for name, value in zip("a k beta delta p w".split(), (a, k, beta, delta, p, w)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got N={N}, M={M}")
     try:
@@ -201,9 +203,6 @@ def _bracket(M, a, delta, loyalty_exponent) -> float:
     return 2.0 * M * (2.0 - delta) - 2.0 + a ** (loyalty_exponent - 2)
 
 
-_NO_ERRSTATE = contextlib.nullcontext()
-
-
 def _objective(scenario: CsrScenario, budget: float):
     """H(c) = t(c) * a * a * (N*B) - 2*N*M*a*c, with ``t(c) = k * (c*a)**beta``
     the technology rule for the cooperation weights and ``2*N*M*a`` the
@@ -212,22 +211,18 @@ def _objective(scenario: CsrScenario, budget: float):
 
     Taken ``t`` first and then left to right, the gain is finite or
     ``inf``, never the ``inf * 0`` of the expanded ``c**beta * a**(2 +
-    beta)``.  ``h`` takes a float or a float64 array of outlays and checks
-    nothing.  Every H that is reported or compared comes from ``h``, which
-    takes ``(c*a)**beta`` by ``np.power``, so a scalar H equals the array H
-    bit for bit (libm's ``pow`` differs from NumPy's in the last bit on
-    some inputs).  ``h_float`` is H in Python floats, ``inf`` where the
-    power leaves float range, for ``optimize_oracle``'s golden section,
-    which reports none of its H: a NumPy call on one float costs several
-    times its arithmetic.
-
-    Every call of ``h`` runs inside ``errstate``, entered once.  For ``beta
-    > 0`` both terms of H rise with c, so ``t``, the gain and the loss at
-    the budget bound every term on ``[0, budget]``.  Where all three lie
-    below 2**1020, a margin under float max for the last-bit differences
-    of ``pow``, no H leaves float range and ``errstate`` is a no-op;
-    elsewhere it is an ``np.errstate`` that silences overflow, and H is
-    ``inf - inf = nan`` where both terms overflow (``_nan_rank``).
+    beta)``.  ``h`` takes a float or a float64 array and checks nothing.
+    Every H that is reported or compared comes from ``h``, by ``np.power``,
+    so a scalar H equals the array H bit for bit (libm's ``pow`` differs in
+    the last bit on some inputs).  ``h_float`` is H in Python floats,
+    ``inf`` past float range, for the golden section, which reports none
+    of its H: a NumPy call on one float costs several times its arithmetic.
+    Each call of ``h`` runs inside ``errstate``, entered once.  For ``beta >
+    0`` both terms of H rise with c, so where ``t``, the gain and the loss
+    at the budget lie below 2**1020 (a margin for the last bits of ``pow``)
+    no H on ``[0, budget]`` leaves float range, and ``errstate`` is a no-op;
+    elsewhere it is ``np.errstate``, silencing overflow, and H is ``inf -
+    inf = nan`` where both terms overflow (``_nan_rank``).
     """
     s = scenario
     a, k, beta = s.a, s.k, s.beta
@@ -235,7 +230,11 @@ def _objective(scenario: CsrScenario, budget: float):
     slope = 2.0 * s.N * s.M * s.a
 
     def h(c):
-        return k * np.power(c * a, beta) * a * a * nb - slope * c
+        gain = np.power(c * a, beta)
+        for factor in (k, a, a, nb):  # in place on an array; t * k == k * t
+            gain *= factor
+        gain -= slope * c
+        return gain
 
     def h_float(c):
         try:
@@ -397,16 +396,13 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
 
     scored = [(0.0, 0.0)]
     if budget > 0.0:
-        outlays = [budget]
         # LOCAL_MAX means beta < 1 and a > 0, so the root exists; one that
         # underflowed to 0 stands for the outlay where c*a is the least float
-        if kind is StationaryKind.LOCAL_MAX:
-            interior = stationary or math.ulp(0.0) / s.a
-            if interior < budget:
-                outlays.insert(0, interior)
+        interior = (min(stationary or math.ulp(0.0) / s.a, budget)
+                    if kind is StationaryKind.LOCAL_MAX else budget)
         h, _, errstate = _objective(s, budget)
         with errstate:
-            scored += [(c, float(h(c))) for c in outlays]
+            scored += [(c, float(h(c))) for c in sorted({interior, budget})]
     best_c, best_h = _best(scored, s)
 
     return DecisionReport(
@@ -419,17 +415,24 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _counts(n: int) -> np.ndarray:
+    counts = np.arange(n, dtype=np.float64)
+    counts.flags.writeable = False
+    return counts
+
+
 def _uniform_grid(stop: float, n: int) -> np.ndarray:
     """``np.linspace(0.0, stop, n)`` bit for bit, for ``stop >= 0`` and
-    ``n >= 2``, without its per-call overhead, and clamped to ``stop``."""
-    grid = np.arange(n, dtype=np.float64)
+    ``n >= 2``, clamped to ``stop``, without the per-call overhead of it or
+    of ``np.arange``: a product with the cached ``_counts`` costs less."""
     step = stop / (n - 1)
     if step:
-        grid *= step
+        grid = _counts(n) * step
         if step < 2.0**-1022:  # a subnormal step keeps few bits and overshoots
             np.minimum(grid, stop, out=grid)
     else:  # the step underflowed to 0; np.linspace then scales in two
-        grid /= n - 1
+        grid = _counts(n) / (n - 1)
         grid *= stop
     grid[-1] = stop
     return grid
@@ -455,9 +458,8 @@ def optimize_oracle(
         peak = int(values.argmax())
         if math.isnan(values[peak]):  # argmax stops at the first NaN
             peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
-        refined = _golden_max(
-            h_float, grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, grid_points - 1))
-        )
+        lo, hi = max(peak - 1, 0), min(peak + 1, grid_points - 1)
+        refined = _golden_max(h_float, grid.item(lo), grid.item(hi))
         scored = [(refined, float(h(refined)))]
     scored += [(grid.item(i), values.item(i)) for i in (0, peak, grid_points - 1)]
     return _best(sorted(scored), s)
