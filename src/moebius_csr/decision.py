@@ -78,7 +78,7 @@ def _scenario_value(key: str, value, kind: type):
 def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
     """Raise ValueError naming the first field outside the scenario domain,
     for ``CsrScenario`` and the stepped fields of ``comparative_statics``."""
-    if not math.isfinite(a + k + beta + delta + p + w):  # else every field is finite
+    if not math.isfinite(a + k + beta + delta + p + w):  # finite only if every field is
         for name, value in zip("a k beta delta p w".split(), (a, k, beta, delta, p, w)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -415,7 +415,7 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
     )
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # holds one array, of the last grid size
 def _counts(n: int) -> np.ndarray:
     counts = np.arange(n, dtype=np.float64)
     counts.flags.writeable = False
