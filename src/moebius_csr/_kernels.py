@@ -181,7 +181,12 @@ def hermitian_eigvals(a: np.ndarray) -> np.ndarray:
     is left unchanged.  Each matrix is scaled by a power of two (exact) so
     its largest entry is below 1, reduced by :func:`_tridiagonalize` and
     bisected by :func:`tridiagonal_eigvals`.  Returns the (P, d) levels,
-    ascending in each row.
+    ascending in each row; a level past float range raises ValueError.
     """
     scale = _power_of_two_scale(a)
-    return tridiagonal_eigvals(*_tridiagonalize(a * scale)) / scale[:, :, 0]
+    levels = tridiagonal_eigvals(*_tridiagonalize(a * scale))
+    past = np.abs(levels) > np.minimum(scale[:, :, 0], 1.0) * np.finfo(np.float64).max
+    if past.any():  # dividing by the (exact) power of two would overflow
+        p, i = np.argwhere(past)[0]
+        raise ValueError(f"level {i} of matrix {p} is past float range")
+    return levels / scale[:, :, 0]

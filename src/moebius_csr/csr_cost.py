@@ -105,23 +105,23 @@ class CostBreakdown:
 
 
 def total_hcsr(a, c, params: CsrParams) -> CostBreakdown:
-    """Evaluate the cost functional for contribution levels and outlays."""
+    """Evaluate the cost functional for contribution levels and outlays; a
+    total past float range raises ValueError naming the first such term."""
     arr_a = validate_contribution(a)
     arr_c = validate_cost(c)
     if arr_a.shape != arr_c.shape:
         raise ValueError(
             f"shape mismatch: contributions {arr_a.shape} vs costs {arr_c.shape}"
         )
-    cost = -sum_all(arr_c)
+    with np.errstate(over="ignore"):  # an outlay sum past float range is named below
+        cost = -sum_all(arr_c)
     neighborhood = params.t1 * (1.0 - params.delta) * sum_ring_products(arr_a)
     sector = params.t2 * sum_rung_products(arr_a)
     # the raw antipodal sum counts each pair twice; t2/2 single-counts it
     loyalty = (params.t2 / 2.0) * sum_antipodal_products(arr_a)
     total = ((cost + neighborhood) + sector) + loyalty
-    return CostBreakdown(
-        cost=cost,
-        neighborhood=neighborhood,
-        sector=sector,
-        loyalty=loyalty,
-        total=total,
-    )
+    terms = dict(cost=cost, neighborhood=neighborhood, sector=sector, loyalty=loyalty)
+    if not math.isfinite(total):  # a term is not finite, or the sum of finite ones
+        name = next((k for k, v in terms.items() if not math.isfinite(v)), "total")
+        raise ValueError(f"{name} past float range ({terms.get(name, total)!r})")
+    return CostBreakdown(**terms, total=total)

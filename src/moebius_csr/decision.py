@@ -444,7 +444,18 @@ def optimize_oracle(
     """Grid-plus-refinement maximizer of H, independent of the closed form:
     ``_best`` of 0, the peak of a uniform grid over the budget, its
     refinement by ``_golden_max`` and the budget, as ``(c, H(c))``.  Only
-    the refinement is scored afresh; the others keep their grid scores."""
+    the refinement is scored afresh; the others keep their grid scores.
+
+    With H finite, the refinement is skipped where it provably loses.  At
+    ``a == 0`` H = 0 - 0 and c = 0 wins each tie.  At ``beta >= 1`` G(c)/c
+    does not fall (G the gain), so H(r) <= r/c * H(c) for r <= c.  Peak at
+    0: it ends at grid[1] or in [2**-1023, grid[1]], where ``a >= 2**-16``
+    and ``G <= 2**20 * slope * (c*a)**beta`` keep the rounding of G,
+    subnormal steps included, below 2**-30 of the loss: H < 0 by the 2**-20
+    margin asked of H(grid[1]).  Peak at the budget b: it ends at r <=
+    b*exp(-3e-7); with each partial product of G normal from grid[-2] up,
+    G is within 2**-48 of G at c moved by an ulp, so H(r) <= (1 - 3e-7) *
+    (1 + 2**-27) * H(b) < H(b) while G(b) < 2**20 * H(b)."""
     s = scenario
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
@@ -458,11 +469,25 @@ def optimize_oracle(
         peak = int(values.argmax())
         if math.isnan(values[peak]):  # argmax stops at the first NaN
             peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
-        lo, hi = max(peak - 1, 0), min(peak + 1, grid_points - 1)
-        refined = _golden_max(h_float, grid.item(lo), grid.item(hi))
-        scored = [(refined, float(h(refined)))]
-    scored += [(grid.item(i), values.item(i)) for i in (0, peak, grid_points - 1)]
+        scored = [(grid.item(i), values.item(i)) for i in (0, peak, grid_points - 1)]
+        if errstate is not _NO_ERRSTATE or not _refinement_loses(s, grid, values, peak):
+            lo, hi = max(peak - 1, 0), min(peak + 1, grid_points - 1)
+            refined = _golden_max(h_float, grid.item(lo), grid.item(hi))
+            scored.append((refined, float(h(refined))))
     return _best(sorted(scored), s)
+
+
+def _refinement_loses(s: CsrScenario, grid, values, peak: int) -> bool:
+    """``optimize_oracle``'s rule for skipping the refinement, H finite."""
+    a, nb, slope = s.a, s.N * bracket(s), 2.0 * s.N * s.M * s.a
+    x = grid.item(-2) * a
+    t = x ** s.beta
+    g = t * s.k * a * a  # below every partial product of G but x, t and G
+    return a == 0.0 or s.beta >= 1.0 and (
+        (peak == 0 and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
+         and values.item(1) < -2.0**-20 * slope * grid.item(1))
+        or (peak == len(grid) - 1 and min(x, t, g, g * nb) >= 2.0**-1020
+            and slope * grid.item(-1) < 2.0**19 * values.item(-1)))
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:

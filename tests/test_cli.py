@@ -326,6 +326,18 @@ def test_cost_rejects_bad_matrix(capsys, cost_files, tmp_path):
     assert err.startswith("error:")
 
 
+def test_cost_past_float_range_exits_2(capsys, cost_files, tmp_path):
+    a, _ = cost_files
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(["1e308,1e308"] * 4) + "\n", encoding="utf-8")
+    argv = [
+        "cost", "--contributions", a, "--costs", str(big),
+        "--t1", "1", "--t2", "1", "--delta", "0.5",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: cost past float range (-inf)\n")
+
+
 # --- lattice ----------------------------------------------------------
 
 

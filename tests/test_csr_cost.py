@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from moebius_csr.csr_cost import (
     validate_cost,
 )
 from moebius_csr.hamiltonian import HoppingParams, assemble
-from moebius_csr.lattice import build_moebius
+from moebius_csr.lattice import build_cylinder, build_moebius
 
 
 def zero_outlay(a, params):
@@ -171,6 +172,61 @@ def test_interaction_is_the_strip_hamiltonian_form_property(N, M, t1, t2, delta,
     interaction = terms.neighborhood + terms.sector + terms.loyalty
     # products below the smallest normal float round on an absolute grid
     assert math.isclose(interaction, form, rel_tol=1e-13, abs_tol=np.finfo(float).tiny)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    N=st.integers(1, 6),
+    M=st.integers(1, 5),
+    t1=st.floats(0.0, 10.0),
+    t2=st.floats(0.0, 10.0),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    data=st.data(),
+)
+def test_twist_bound_property(N, M, t1, t2, delta, data):
+    # the interaction is at most |lambda_min| / 2 * sum(a**2), lambda_min the
+    # lowest level of the strip at zero flux, and the Perron vector attains
+    # it: uniform along each wire and sin(pi*m/(2M+1)) across the wires of
+    # the Moebius strip (largest on the loyalty wire m = M), sin(pi*m/(M+1))
+    # on the cylinder (Horn & Johnson, Matrix Analysis, 4.2 and ch. 8)
+    entries = st.floats(0.0, 1.0, exclude_max=True)
+    a = data.draw(arrays(np.float64, (2 * N, M), elements=entries))
+    hopping = HoppingParams(t1 * (1.0 - delta), t2)
+
+    def cost_terms(h, x):  # the cost functional, defined on the Moebius strip
+        terms = zero_outlay(x, CsrParams(t1, t2, delta))
+        return terms.neighborhood + terms.sector + terms.loyalty
+
+    def form(h, x):  # -1/2 v.H.v, its value on any strip
+        v = x.T.ravel()
+        return -0.5 * (v @ h @ v).real
+
+    wires = np.arange(1, M + 1)
+    for lattice, folded, interaction in ((build_moebius(N, M), 2 * M + 1, cost_terms),
+                                         (build_cylinder(N, M), M + 1, form)):
+        h = assemble(lattice, hopping)
+        lam_min = -2.0 * hopping.t1 - 2.0 * t2 * math.cos(math.pi / folded)
+        assert math.isclose(lam_min, np.linalg.eigvalsh(h)[0], rel_tol=1e-12, abs_tol=1e-12)
+        bound = -0.5 * lam_min * np.sum(a * a)
+        assert interaction(h, a) <= bound * (1.0 + 1e-12) + np.finfo(float).tiny
+        perron = np.tile(0.5 * np.sin(np.pi * wires / folded), (2 * N, 1))
+        assert math.isclose(interaction(h, perron), -0.5 * lam_min * np.sum(perron**2),
+                            rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_total_past_float_range_names_the_term_without_warnings():
+    a, ones = np.full((4, 2), 0.5), np.ones((4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # each addend is finite (1e308, 1e308 and 5e307); their sum is not
+        with pytest.raises(ValueError, match=r"^total past float range \(inf\)$"):
+            total_hcsr(a, ones, CsrParams(t1=1e308, t2=1e308, delta=0.5))
+        with pytest.raises(ValueError, match=r"^cost past float range \(-inf\)$"):
+            total_hcsr(a, np.full((4, 2), 1e308), CsrParams(t1=1.0, t2=1.0, delta=0.5))
+        # the largest finite outlay sum still comes back
+        big = np.zeros((4, 2))
+        big[0, 0] = np.finfo(np.float64).max
+        assert total_hcsr(a, big, CsrParams(t1=0.0, t2=0.0, delta=0.5)).cost == -big[0, 0]
 
 
 def test_validation_errors():

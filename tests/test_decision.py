@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import bisect_root, dhcsr_expanded, random_scenario
 from moebius_csr.decision import (
+    LOYALTY_EXPONENTS,
     SCENARIO_KEYS,
     STATICS_STEP,
     BetaRegime,
@@ -684,7 +685,10 @@ def _errstate_optimizers(s, grid_points=2001):
             return constrained, (0.0, 0.0)
         grid = np.minimum(np.linspace(0.0, budget, grid_points), budget)
         values = h(grid)
-        peak = int(np.argmax(np.where(np.isnan(values), _nan_rank(grid, s), values)))
+        ranked = values  # a nan H needs a > 0, where _nan_rank is defined
+        if np.isnan(values).any():
+            ranked = np.where(np.isnan(values), _nan_rank(grid, s), values)
+        peak = int(np.argmax(ranked))
         bracket_ends = grid[max(peak - 1, 0)], grid[min(peak + 1, grid_points - 1)]
         refined = _golden_max(h_float, *map(float, bracket_ends))
         scored = [(float(grid[i]), float(values[i])) for i in (0, peak, grid_points - 1)]
@@ -748,6 +752,99 @@ def test_optimizers_equal_errstate_reference_bitwise_property():
                 oracle = str(exc)
         assert repr(constrained) == repr(ref_constrained), s
         assert repr(oracle) == repr(ref_oracle), s
+
+
+@st.composite
+def skip_edge_scenarios(draw):
+    """Scenarios at the edges of the oracle's skip rule: beta at 1, just
+    above it or in (1, 4), a down to subnormals, budgets from subnormal to
+    1e300, and k up to 1e300 or set so that gain / loss is near 1 at the
+    budget or at the first grid point."""
+    def exp10(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    beta = draw(st.sampled_from(["one", "near", "above"]))
+    beta = {"one": 1.0, "near": 1.0 + exp10(-16, -1), "above": draw(st.floats(1.0, 4.0))}[beta]
+    fields = dict(N=int(exp10(0, 150)), M=int(exp10(0, 150)),
+                  a=draw(st.one_of(st.floats(0.0, 0.999), st.builds(lambda e: 10.0**e,
+                                                                    st.floats(-323, -0.01)))),
+                  k=1.0, beta=beta, delta=draw(st.floats(0.01, 0.99)), p=exp10(-323, 300),
+                  w=0.0, loyalty_exponent=draw(st.sampled_from(LOYALTY_EXPONENTS)))
+    ratio = draw(st.sampled_from([None, "tie", "wide"]))
+    try:
+        s = CsrScenario(**fields)
+        if ratio is None:
+            return replace(s, k=exp10(-300, 300))
+        near = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * exp10(-16, -1)
+        target = near if ratio == "tie" else exp10(-3, 3)
+        c = s.p / draw(st.sampled_from([1.0, 2000.0]))
+        log_k = (math.log(target * 2.0 * s.N * s.M / (s.N * bracket(s))) - math.log(s.a)
+                 - (s.beta - 1.0) * math.log(c) - s.beta * math.log(s.a))
+        return replace(s, k=math.exp(log_k))
+    except (ValueError, OverflowError):
+        reject()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(
+    skip_edge_scenarios(),
+    st.integers(0, 2**32 - 1).map(lambda seed: _extreme_scenarios(np.random.default_rng(seed), 1)[0]),
+))
+# beta >= 1 alone does not let the refinement be skipped.  Here (c*a)**beta
+# is subnormal at the budget, so H there rounds to the H of the refined
+# outlay just below it, which wins the tie
+@example(CsrScenario(N=10**79, M=10**43, a=0.666577065872421, k=1.2949296662598811e289,
+                     beta=1.5577551381065609, delta=0.3227421767802934,
+                     p=3.321734511280194e-206, w=0.0))
+# H(budget) is 2e-12 of the gain, so rounding lets the refinement beat it
+@example(CsrScenario(N=5, M=2, a=0.338495195835977, k=11.736428496663622, beta=1.0,
+                     delta=0.7850111155110768, p=3.1691020057939365, w=0.0))
+# t(grid[-2]) is subnormal, so G is off by far more than the convex gap
+@example(CsrScenario(N=int(4.188544566538050e95), M=45806, a=0.6195110430767343,
+                     k=1.4200265397345585e26, beta=1.0880490153745432,
+                     delta=0.7131626465586113, p=7.812714135703466e-294, w=0.0))
+# H(grid[1]) < 0 by 2e-15 of the loss, and at the refined outlay 1.4e-307
+# the rounding of G puts H at +1.5e-322
+@example(CsrScenario(N=1, M=19, a=0.0003044350285646902, k=9514769.478616554, beta=1.0,
+                     delta=0.8133699063446298, p=3.719499883564066, w=0.0))
+def test_oracle_equals_full_refinement_property(s):
+    # the oracle skips its golden section where the refinement provably
+    # loses; the reference always refines
+    _, reference = _errstate_optimizers(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            oracle = optimize_oracle(s, 2001)
+        except ValueError as exc:
+            oracle = str(exc)
+    assert repr(oracle) == repr(reference)
+
+
+def test_oracle_refines_only_where_h_can_peak_inside(monkeypatch):
+    evaluations = []
+
+    def counting_golden_max(f, lo, hi):
+        return _golden_max(lambda c: evaluations.append(c) or f(c), lo, hi)
+
+    monkeypatch.setattr("moebius_csr.decision._golden_max", counting_golden_max)
+    base = CsrScenario(N=3, M=2, a=0.5, k=1.0, beta=2.0, delta=0.5, p=3.0, w=0.0)
+    cases = [
+        (dict(a=0.0, beta=0.5), 0.0),  # H = 0 everywhere
+        (dict(a=0.0, beta=2.0), 0.0),
+        (dict(k=1.0), 0.0),  # convex, H < 0 on the budget
+        (dict(k=100.0), 3.0),  # convex, H(budget) > 0
+        (dict(beta=1.0, k=1.0), 0.0),  # linear, falling
+        (dict(beta=1.0, k=100.0), 3.0),  # linear, rising
+        (dict(beta=3.7, k=0.3, a=0.1, p=4.2), 0.0),
+    ]
+    for change, c_best in cases:
+        s = replace(base, **change)
+        evaluations.clear()
+        assert optimize_oracle(s, 2001)[0] == c_best, change
+        assert evaluations == [], change
+        assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1])
+    optimize_oracle(replace(base, beta=0.5), 2001)
+    assert len(evaluations) > 0
 
 
 # --- comparative statics ---------------------------------------------------

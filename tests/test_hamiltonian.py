@@ -111,6 +111,15 @@ def test_eigenvalues_rejects_bad_input():
         eigenvalues(np.zeros((0, 0)))
 
 
+def test_eigenvalues_past_float_range_raise_without_warnings():
+    # all-equal entries x have the levels 0, 0 and 3x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigenvalues(np.full((3, 3), 5e307))[-1] == pytest.approx(1.5e308, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^level 2 of matrix 0 is past float range$"):
+            eigenvalues(np.full((3, 3), 1e308))
+
+
 def test_four_ring_analytic():
     lat = build_cylinder(2, 1)
     h = assemble(lat, HoppingParams(t1=1.0, t2=0.0))
