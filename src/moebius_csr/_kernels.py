@@ -73,6 +73,8 @@ def _power_of_two_scale(x: np.ndarray) -> np.ndarray:
     axes as length-1 axes.  Scaling by a power of two is exact.
     """
     big = np.abs(x).max(axis=tuple(range(1, x.ndim)), keepdims=True)
+    if not np.isfinite(big).all():  # the modulus of a complex entry can round past max
+        raise ValueError("a matrix entry is past float range")
     return np.ldexp(1.0, np.minimum(-np.frexp(big)[1], 1023))
 
 

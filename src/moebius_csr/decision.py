@@ -84,12 +84,7 @@ def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
                 raise ValueError(f"{name} must be finite, got {value!r}")
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got N={N}, M={M}")
-    try:
-        size = 4.0 * N * M
-    except OverflowError:  # N past float range
-        size = math.inf
-    if not math.isfinite(size):
-        raise ValueError("N and M too large: 4*N*M must be a finite float")
+    _check_size(N, M)
     if not (0.0 <= a < 1.0):
         raise ValueError(f"a must lie in [0, 1), got {a}")
     if k <= 0.0:
@@ -102,6 +97,15 @@ def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
         raise ValueError("p and w must be >= 0")
     if loyalty_exponent not in LOYALTY_EXPONENTS:
         raise ValueError(f"loyalty exponent must be 2 or 4, got {loyalty_exponent!r}")
+
+
+def _check_size(N, M) -> None:
+    try:
+        size = 4.0 * N * M
+    except OverflowError:  # N past float range
+        size = math.inf
+    if not math.isfinite(size):
+        raise ValueError("N and M too large: 4*N*M must be a finite float")
 
 
 @dataclass(frozen=True)
@@ -203,53 +207,49 @@ def _bracket(M, a, delta, loyalty_exponent) -> float:
     return 2.0 * M * (2.0 - delta) - 2.0 + a ** (loyalty_exponent - 2)
 
 
-def _objective(scenario: CsrScenario, budget: float):
+def _objective(s: CsrScenario, budget: float):
     """H(c) = t(c) * a * a * (N*B) - 2*N*M*a*c, with ``t(c) = k * (c*a)**beta``
     the technology rule for the cooperation weights and ``2*N*M*a`` the
-    price of a unit outlay, so H(0) = 0; as ``(h, h_float, errstate)`` for
-    outlays in ``[0, budget]``.
+    price of a unit outlay, so H(0) = 0; as ``(N*B, 2*N*M*a, errstate)``
+    for outlays in ``[0, budget]``.
 
     Taken ``t`` first and then left to right, the gain is finite or
     ``inf``, never the ``inf * 0`` of the expanded ``c**beta * a**(2 +
-    beta)``.  ``h`` takes a float or a float64 array and checks nothing.
-    Every H that is reported or compared comes from ``h``, by ``np.power``,
-    so a scalar H equals the array H bit for bit (libm's ``pow`` differs in
-    the last bit on some inputs).  ``h_float`` is H in Python floats,
-    ``inf`` past float range, for the golden section, which reports none
-    of its H: a NumPy call on one float costs several times its arithmetic.
-    Each call of ``h`` runs inside ``errstate``, entered once.  For ``beta >
-    0`` both terms of H rise with c, so where ``t``, the gain and the loss
-    at the budget lie below 2**1020 (a margin for the last bits of ``pow``)
-    no H on ``[0, budget]`` leaves float range, and ``errstate`` is a no-op;
-    elsewhere it is ``np.errstate``, silencing overflow, and H is ``inf -
-    inf = nan`` where both terms overflow (``_nan_rank``).
+    beta)``.  Every H that is reported or compared takes ``(c*a)**beta``
+    from ``np.power`` (libm's ``pow`` differs in the last bit on some
+    inputs): ``_h`` on an array, in place, and ``_h_at`` on one outlay by
+    the same operations in order in Python floats, which round as float64
+    does and overflow to ``inf`` without a warning, so the two agree bit
+    for bit.  The golden section steers by H in Python floats, ``inf`` past
+    float range.  ``np.power`` runs inside ``errstate``.  For ``beta > 0``
+    both terms of H rise with c, so where ``t``, the gain and the loss at
+    the budget lie below 2**1020 (a margin for the last bits of ``pow``)
+    no H on ``[0, budget]`` leaves float range, and ``errstate`` is a
+    no-op; elsewhere it is ``np.errstate``, silencing overflow, and H is
+    ``inf - inf = nan`` where both terms overflow (``_nan_rank``).
     """
-    s = scenario
-    a, k, beta = s.a, s.k, s.beta
-    nb = s.N * bracket(s)
-    slope = 2.0 * s.N * s.M * s.a
-
-    def h(c):
-        gain = np.power(c * a, beta)
-        for factor in (k, a, a, nb):  # in place on an array; t * k == k * t
-            gain *= factor
-        gain -= slope * c
-        return gain
-
-    def h_float(c):
-        try:
-            t = k * (c * a) ** beta
-        except OverflowError:
-            t = math.inf
-        return t * a * a * nb - slope * c
-
+    a = s.a
+    nb = s.N * _bracket(s.M, a, s.delta, s.loyalty_exponent)
+    slope = 2.0 * s.N * s.M * a
     try:
-        t = k * (budget * a) ** beta
+        t = s.k * (budget * a) ** s.beta
     except OverflowError:
         t = math.inf
-    if max(t, t * a * a * nb, slope * budget) < 2.0**1020:
-        return h, h_float, _NO_ERRSTATE
-    return h, h_float, np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    if t < 2.0**1020 and t * a * a * nb < 2.0**1020 and slope * budget < 2.0**1020:
+        return nb, slope, _NO_ERRSTATE
+    return nb, slope, np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
+def _h(c, s: CsrScenario, nb, slope):
+    gain = np.power(c * s.a, s.beta)
+    for factor in (s.k, s.a, s.a, nb):  # in place; t * k == k * t
+        gain *= factor
+    gain -= slope * c
+    return gain
+
+
+def _h_at(c, s: CsrScenario, nb, slope) -> float:
+    return float(np.power(c * s.a, s.beta)) * s.k * s.a * s.a * nb - slope * c
 
 
 def _past_range(c, value) -> ValueError:
@@ -264,21 +264,26 @@ def hcsr_of_c(c, scenario: CsrScenario):
         raise ValueError("c must be finite")
     if np.any(arr < 0.0):
         raise ValueError("c must be >= 0")
-    h, _, errstate = _objective(scenario, float(np.max(arr, initial=0.0)))
+    nb, slope, errstate = _objective(scenario, float(np.max(arr, initial=0.0)))
     with errstate:
-        value = h(arr)
+        value = _h(arr, scenario, nb, slope)
     bad = ~np.isfinite(value)
     if np.any(bad):
         raise _past_range(float(arr[bad].flat[0]), float(value[bad].flat[0]))
     return float(value) if arr.ndim == 0 else value
 
 
+def _case(beta, a):
+    """``(beta_regime, classify_stationary)`` of a scenario's beta and a."""
+    if beta == 1.0:
+        return BetaRegime.BETA_EQUAL_ONE, StationaryKind.FLAT_DERIVATIVE
+    if beta > 1.0:
+        return BetaRegime.BETA_ABOVE_ONE, None if a == 0.0 else StationaryKind.LOCAL_MIN
+    return BetaRegime.BETA_BELOW_ONE, None if a == 0.0 else StationaryKind.LOCAL_MAX
+
+
 def beta_regime(scenario: CsrScenario) -> BetaRegime:
-    if scenario.beta > 1.0:
-        return BetaRegime.BETA_ABOVE_ONE
-    if scenario.beta < 1.0:
-        return BetaRegime.BETA_BELOW_ONE
-    return BetaRegime.BETA_EQUAL_ONE
+    return _case(scenario.beta, scenario.a)[0]
 
 
 def stationary_closed_form(scenario: CsrScenario) -> float | None:
@@ -315,20 +320,10 @@ def _root(M, a, k, beta, delta, loyalty_exponent) -> float | None:
         return math.inf
 
 
-_STATIONARY_KIND = {
-    BetaRegime.BETA_ABOVE_ONE: StationaryKind.LOCAL_MIN,
-    BetaRegime.BETA_BELOW_ONE: StationaryKind.LOCAL_MAX,
-    BetaRegime.BETA_EQUAL_ONE: StationaryKind.FLAT_DERIVATIVE,
-}
-
-
 def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
     """Kind of ``stationary_closed_form``'s point by the regime of beta;
     None when H has none (``a == 0``, ``beta != 1``)."""
-    regime = beta_regime(scenario)
-    if scenario.a == 0.0 and regime is not BetaRegime.BETA_EQUAL_ONE:
-        return None
-    return _STATIONARY_KIND[regime]
+    return _case(scenario.beta, scenario.a)[1]
 
 
 def _nan_rank(c, scenario: CsrScenario):
@@ -347,10 +342,11 @@ def _best(scored, scenario: CsrScenario) -> tuple[float, float]:
     NaN H ranked by ``_nan_rank``.  Callers list the pairs in ascending c,
     so a tie goes to the smallest outlay.  A winning H that is not finite
     raises ValueError naming the outlay."""
-    c, value = max(
-        scored,
-        key=lambda cv: cv[1] if cv[1] == cv[1] else float(_nan_rank(cv[0], scenario)),
-    )
+    top = None
+    for x, h in scored:
+        rank = h if h == h else float(_nan_rank(x, scenario))
+        if top is None or rank > top:
+            c, value, top = x, h, rank
     if not math.isfinite(value):
         raise _past_range(c, value)
     return c, value
@@ -390,29 +386,22 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
     ``p < w`` the budget is empty, the outlay 0 and the report infeasible
     unless ``a == 0``, where the margin vanishes."""
     s = scenario
-    budget = max(0.0, s.p - s.w)
-    stationary = stationary_closed_form(s)
-    kind = classify_stationary(s)
-
+    case, kind = _case(s.beta, s.a)
+    stationary = _root(s.M, s.a, s.k, s.beta, s.delta, s.loyalty_exponent)
+    budget = s.p - s.w
     scored = [(0.0, 0.0)]
     if budget > 0.0:
         # LOCAL_MAX means beta < 1 and a > 0, so the root exists; one that
         # underflowed to 0 stands for the outlay where c*a is the least float
         interior = (min(stationary or math.ulp(0.0) / s.a, budget)
                     if kind is StationaryKind.LOCAL_MAX else budget)
-        h, _, errstate = _objective(s, budget)
+        nb, slope, errstate = _objective(s, budget)
         with errstate:
-            scored += [(c, float(h(c))) for c in sorted({interior, budget})]
+            scored += [(c, _h_at(c, s, nb, slope))
+                       for c in ((interior, budget) if interior < budget else (budget,))]
     best_c, best_h = _best(scored, s)
-
-    return DecisionReport(
-        stationary=stationary,
-        stationary_kind=kind,
-        constrained_opt=best_c,
-        objective_at_opt=best_h,
-        case=beta_regime(s),
-        feasible=s.a == 0.0 or s.p - s.w - best_c >= 0.0,
-    )
+    return DecisionReport(stationary, kind, best_c, best_h, case,
+                          s.a == 0.0 or s.p - s.w - best_c >= 0.0)
 
 
 @functools.lru_cache(maxsize=1)  # holds one array, of the last grid size
@@ -446,44 +435,55 @@ def optimize_oracle(
     refinement by ``_golden_max`` and the budget, as ``(c, H(c))``.  Only
     the refinement is scored afresh; the others keep their grid scores.
 
-    With H finite, the refinement is skipped where it provably loses.  At
-    ``a == 0`` H = 0 - 0 and c = 0 wins each tie.  At ``beta >= 1`` G(c)/c
-    does not fall (G the gain), so H(r) <= r/c * H(c) for r <= c.  Peak at
-    0: it ends at grid[1] or in [2**-1023, grid[1]], where ``a >= 2**-16``
-    and ``G <= 2**20 * slope * (c*a)**beta`` keep the rounding of G,
-    subnormal steps included, below 2**-30 of the loss: H < 0 by the 2**-20
-    margin asked of H(grid[1]).  Peak at the budget b: it ends at r <=
-    b*exp(-3e-7); with each partial product of G normal from grid[-2] up,
-    G is within 2**-48 of G at c moved by an ulp, so H(r) <= (1 - 3e-7) *
-    (1 + 2**-27) * H(b) < H(b) while G(b) < 2**20 * H(b)."""
+    At ``a == 0`` every H is ``0.0 - 0.0`` (N*B <= 4*N*M is finite) and
+    c = 0 wins: no grid is built.  With H finite, the refinement is skipped
+    where it provably loses.  At ``beta >= 1`` G(c)/c does not fall (G the
+    gain), so H(r) <= r/c * H(c) for r <= c.  Peak at 0: it ends at grid[1]
+    or in [2**-1023, grid[1]], where ``a >= 2**-16`` and ``G <= 2**20 *
+    slope * (c*a)**beta`` keep the rounding of G, subnormal steps included,
+    below 2**-30 of the loss: H < 0 by the 2**-20 margin asked of
+    H(grid[1]).  Peak at the budget b: it ends at r <= b*exp(-3e-7); with
+    each partial product of G normal from grid[-2] up, G is within 2**-48
+    of G at c moved by an ulp, so H(r) <= (1 - 3e-7) * (1 + 2**-27) * H(b)
+    < H(b) while G(b) < 2**20 * H(b)."""
     s = scenario
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
-    budget = max(0.0, s.p - s.w)
-    if budget == 0.0:
+    if not is_int(grid_points) or grid_points < 3:
+        raise ValueError(f"grid_points must be an integer >= 3, got {grid_points!r}")
+    budget = s.p - s.w
+    if budget <= 0.0 or s.a == 0.0:
         return 0.0, 0.0  # H(0) = 0
-    h, h_float, errstate = _objective(s, budget)
+    nb, slope, errstate = _objective(s, budget)
     grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
     with errstate:
-        values = h(grid)
+        values = _h(grid, s, nb, slope)
         peak = int(values.argmax())
-        if math.isnan(values[peak]):  # argmax stops at the first NaN
+        if math.isnan(values.item(peak)):  # argmax stops at the first NaN
             peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
         scored = [(grid.item(i), values.item(i)) for i in (0, peak, grid_points - 1)]
-        if errstate is not _NO_ERRSTATE or not _refinement_loses(s, grid, values, peak):
-            lo, hi = max(peak - 1, 0), min(peak + 1, grid_points - 1)
-            refined = _golden_max(h_float, grid.item(lo), grid.item(hi))
-            scored.append((refined, float(h(refined))))
+        if errstate is _NO_ERRSTATE and _refinement_loses(s, nb, slope, grid, values, peak):
+            return _best(scored, s)
+        a, k, beta = s.a, s.k, s.beta
+
+        def h_float(c):
+            try:
+                t = k * (c * a) ** beta
+            except OverflowError:
+                t = math.inf
+            return t * a * a * nb - slope * c
+
+        lo, hi = max(peak - 1, 0), min(peak + 1, grid_points - 1)
+        refined = _golden_max(h_float, grid.item(lo), grid.item(hi))
+        scored.append((refined, _h_at(refined, s, nb, slope)))
     return _best(sorted(scored), s)
 
 
-def _refinement_loses(s: CsrScenario, grid, values, peak: int) -> bool:
+def _refinement_loses(s: CsrScenario, nb, slope, grid, values, peak: int) -> bool:
     """``optimize_oracle``'s rule for skipping the refinement, H finite."""
-    a, nb, slope = s.a, s.N * bracket(s), 2.0 * s.N * s.M * s.a
+    a = s.a
     x = grid.item(-2) * a
     t = x ** s.beta
     g = t * s.k * a * a  # below every partial product of G but x, t and G
-    return a == 0.0 or s.beta >= 1.0 and (
+    return s.beta >= 1.0 and (
         (peak == 0 and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
          and values.item(1) < -2.0**-20 * slope * grid.item(1))
         or (peak == len(grid) - 1 and min(x, t, g, g * nb) >= 2.0**-1020
@@ -503,23 +503,22 @@ def comparative_statics(scenario: CsrScenario, param: str) -> float:
     s = scenario
     if s.beta == 1.0 or s.a == 0.0:
         raise ValueError("sensitivity needs a stationary point (beta != 1, a > 0)")
-
-    def root(M=s.M, beta=s.beta, delta=s.delta):
-        _check_domain(s.N, M, s.a, s.k, beta, delta, s.p, s.w, s.loyalty_exponent)
-        return _root(M, s.a, s.k, beta, delta, s.loyalty_exponent)
-
+    M, a, k, beta, delta, lam = s.M, s.a, s.k, s.beta, s.delta, s.loyalty_exponent
     if param == "M":
-        diff = root(M=s.M + 1) - stationary_closed_form(s)
+        _check_size(s.N, M + 1)
+        diff = _root(M + 1, a, k, beta, delta, lam) - _root(M, a, k, beta, delta, lam)
     elif param in ("delta", "beta"):
         center = getattr(s, param)
         for h in (STATICS_STEP, STATICS_STEP / 2.0):
-            try:
-                c_hi = root(**{param: center + h})
-                c_lo = root(**{param: center - h})
-            except ValueError:
-                continue
-            if param == "beta" and (center + h - 1.0) * (center - h - 1.0) <= 0.0:
-                continue  # the two closed forms would straddle the knife edge
+            hi, lo = center + h, center - h
+            if param == "delta":  # the stepped field's domain (_check_domain)
+                if lo <= 0.0 or hi >= 1.0:
+                    continue
+                c_hi, c_lo = _root(M, a, k, beta, hi, lam), _root(M, a, k, beta, lo, lam)
+            elif lo <= 0.0 or (hi - 1.0) * (lo - 1.0) <= 0.0:
+                continue  # beta <= 0, or the closed forms straddle beta == 1
+            else:
+                c_hi, c_lo = _root(M, a, k, hi, delta, lam), _root(M, a, k, lo, delta, lam)
             diff = (c_hi - c_lo) / (2.0 * h)
             break
         else:

@@ -160,7 +160,7 @@ def _filled_sums(levels: np.ndarray, n_electrons: int) -> np.ndarray:
     w = np.sort(levels, axis=1)
     # sorting puts -inf first and inf, then NaN, last
     if w.size and not (np.isfinite(w[:, 0]).all() and np.isfinite(w[:, -1]).all()):
-        raise ValueError("eigenvalues must be finite (got NaN or inf)")
+        raise ValueError("eigenvalues must be finite (got NaN, or inf past float range)")
     with np.errstate(over="ignore", invalid="ignore"):
         return w[:, : int(n_electrons)].sum(axis=1)
 
@@ -224,14 +224,16 @@ def flux_sweep(
     chain levels once for the whole sweep, then one band fill over all flux
     points at once.  Otherwise each block of flux points is built as one
     stack of dense ``2NM x 2NM`` Hamiltonians and solved as one stack.
-    Raises ValueError when the band ``-2*t1*cos(...)`` or a ground-state
+    Raises ValueError when a flux is not finite or ``2*pi*phi`` leaves
+    float range, and when the band ``-2*t1*cos(...)`` or a ground-state
     energy overflows float range.
     """
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("flux grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("flux grid must be finite")
+    if not math.isfinite(2.0 * math.pi * float(np.abs(grid).max())):  # nan fails too
+        phi = grid.item(np.abs(grid).argmax())
+        raise ValueError(f"flux phi={phi!r} must be finite, with 2*pi*phi in float range")
     eps = _validated_epsilon(lattice, params)
     _check_filling(n_electrons, lattice.n_sites)
 
@@ -246,7 +248,8 @@ def flux_sweep(
                 f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)"
             )
         wire = np.zeros(lattice.M) if eps is None else eps[0]
-        chains = _chain_levels(lattice, float(params.t2), wire)
+        with np.errstate(over="ignore"):  # _filled_sums names a level past float range
+            chains = _chain_levels(lattice, float(params.t2), wire)
         q = np.arange(2 * lattice.N)
         chain_of_q = chains[q % len(chains)]
         k = np.pi * q / lattice.N
@@ -265,9 +268,12 @@ def flux_sweep(
     out = np.empty((grid.size, 2), dtype=np.float64)
     out[:, 0] = grid
     step = max(1, BLOCK_BYTES // point_bytes)
-    for start in range(0, grid.size, step):
-        rows = slice(start, start + step)
-        out[rows, 1] = _filled_sums(levels_at(grid[rows]), n_electrons)
+    # _filled_sums names a level past float range, and hermitian_eigvals an
+    # entry of the dense stack
+    with np.errstate(over="ignore"):
+        for start in range(0, grid.size, step):
+            rows = slice(start, start + step)
+            out[rows, 1] = _filled_sums(levels_at(grid[rows]), n_electrons)
     if not np.all(np.isfinite(out[:, 1])):
         raise ValueError(
             f"ground-state energy overflows float range with t1={params.t1!r}, "

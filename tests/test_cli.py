@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,16 @@ def test_cost_past_float_range_exits_2(capsys, cost_files, tmp_path):
     ]
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (2, "", "error: cost past float range (-inf)\n")
+
+
+def test_spectrum_flux_past_float_range_exits_2(capsys):
+    argv = ["spectrum", "--n", "2", "--m", "2", "--t1", "1", "--t2", "0.5",
+            "--flux-sweep", "1e308:1e308:1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    message = "error: flux phi=1e+308 must be finite, with 2*pi*phi in float range\n"
+    assert (code, out, err) == (2, "", message)
 
 
 # --- lattice ----------------------------------------------------------

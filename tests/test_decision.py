@@ -30,7 +30,9 @@ from moebius_csr.decision import (
     _best,
     _check_domain,
     _golden_max,
+    _h_at,
     _nan_rank,
+    _objective,
     _uniform_grid,
 )
 
@@ -235,6 +237,37 @@ def test_hcsr_scalar_equals_array_bitwise_property(s, data):
             message = scalars[int(np.argmin(finite))]
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 hcsr_of_c(outlays, s)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        scenarios(max_beta=40.0, max_p=1e12, max_w=1e3),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: _extreme_scenarios(np.random.default_rng(seed), 1)[0]),
+    ),
+    st.data(),
+)
+def test_scalar_h_equals_array_h_bitwise_property(s, data):
+    # the optimizers score H one outlay at a time in Python floats around
+    # one np.power (_h_at); hcsr_of_c scores an array in NumPy.  A non-finite
+    # scalar H must be the one the array path names
+    budget = max(0.0, s.p - s.w)
+    picks = data.draw(st.lists(st.floats(0.0, budget), max_size=6))
+    outlays = [0.0, budget / 3.0, budget, *picks]
+    nb, slope, errstate = _objective(s, budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with errstate:
+            scalars = [_h_at(c, s, nb, slope) for c in outlays]
+        finite = [(c, h) for c, h in zip(outlays, scalars) if math.isfinite(h)]
+        values = hcsr_of_c(np.array([c for c, _ in finite]), s)
+        assert values.tobytes() == np.array([h for _, h in finite]).tobytes()
+        for c, h in zip(outlays, scalars):
+            if not math.isfinite(h):
+                message = f"H past float range at outlay c={c!r} (H={h!r})"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    hcsr_of_c(np.array([c]), s)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -536,8 +569,26 @@ def test_oracle_reference_scenarios(s0, s1):
 
 def test_oracle_trivial_and_errors(s0):
     assert optimize_oracle(replace(s0, p=1.0, w=1.0)) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        optimize_oracle(s0, grid_points=2)
+    # a float, a string or a bool used to raise TypeError, or be refused by accident
+    for bad in (2, np.int64(2), 2001.0, 3.5, "2001", True, None):
+        message = f"grid_points must be an integer >= 3, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimize_oracle(s0, grid_points=bad)
+    assert optimize_oracle(s0, np.int64(2001)) == optimize_oracle(s0, 2001)
+
+
+def test_oracle_at_zero_contribution_builds_no_grid(monkeypatch):
+    # at a = 0 every grid H is 0.0 - 0.0, so the oracle answers before
+    # building the grid, whatever the sizes and k
+    def no_objective(*args):
+        raise AssertionError("H was scored")
+
+    monkeypatch.setattr("moebius_csr.decision._objective", no_objective)
+    for N, M, k in ((1, 1, 1.0), (10**150, 10**150, 1e300), (10**150, 1, 1e-300)):
+        for beta in (0.5, 1.0, 2.0):
+            s = CsrScenario(N=N, M=M, a=0.0, k=k, beta=beta, delta=0.5, p=3.0, w=0.0)
+            assert repr(optimize_oracle(s, 2001)) == "(0.0, 0.0)"
+            assert repr(_errstate_optimizers(s)[1]) == "(0.0, 0.0)"
 
 
 def test_oracle_equivalence_property():

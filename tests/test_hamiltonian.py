@@ -1,13 +1,17 @@
+import math
+import re
+import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ring_dispersion
 import moebius_csr.hamiltonian as hamiltonian
+from moebius_csr.csr_cost import CsrParams, total_hcsr
 from moebius_csr.hamiltonian import (
     HoppingParams,
     assemble,
@@ -546,3 +550,113 @@ def test_total_energy_overflow_raises_without_warnings():
             total_energy(np.array([1e308, 1e308, -1.0]), 3)
         with pytest.raises(ValueError, match="overflows"):
             total_energy(np.array([-1e308, -1e308, 1e308, 1e308]), 4)
+
+
+def test_flux_past_float_range_raises_without_warnings():
+    # 2*pi*phi overflows past |phi| ~ 2.86e307: the Bloch path warned, then
+    # raised the misnamed "eigenvalues must be finite", and the dense path
+    # returned an energy computed from a NaN matrix
+    lat = build_moebius(2, 2)
+    below = math.nextafter(sys.float_info.max / (2.0 * math.pi), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epsilon in (None, np.tile([1.0, 3.0], (4, 1)), np.arange(8.0).reshape(4, 2)):
+            params = HoppingParams(t1=1.0, t2=0.5, epsilon=epsilon)
+            for bad in (1e308, -1e308, 2.87e307, np.nan, np.inf):
+                message = f"^flux phi={re.escape(repr(float(bad)))} must be finite"
+                with pytest.raises(ValueError, match=message):
+                    flux_sweep(lat, params, [0.0, bad], 4)
+            # just inside the bound the energies stay finite
+            assert np.all(np.isfinite(flux_sweep(lat, params, [below, -below], 4)))
+
+
+# --- a finite answer or a named error over the extreme domain ----------------
+
+# 0, subnormals and magnitudes up to float max, of either sign
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(-10.0, 10.0),
+    st.floats(-323.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(-323.0, 308.0).map(lambda e: -(10.0**e)),
+)
+
+
+def _finite_or_named(call, *args):
+    """``call(*args)`` under warnings-as-errors: its result, every number of
+    which is finite, or None after a ValueError that names a float range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(*args)
+        except ValueError as exc:
+            assert re.search("float range|overflows", str(exc)), str(exc)
+            return None
+    values = [getattr(out, f.name) for f in fields(out)] if is_dataclass(out) else out
+    assert np.all(np.isfinite(values)), out
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    build=st.sampled_from([build_moebius, build_cylinder]),
+    N=st.integers(1, 3),
+    M=st.integers(1, 4),
+    t1=_EXTREME,
+    t2=_EXTREME,
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    wires=st.sampled_from(["none", "equal", "chain", "dense"]),
+    values=st.lists(_EXTREME, min_size=1, max_size=6),
+    grid=st.lists(_EXTREME, min_size=1, max_size=3),
+    filling=st.floats(0.0, 1.0),
+    complex_=st.booleans(),
+)
+# 2*pi*phi past float range: the Bloch path warned, then raised the misnamed
+# "eigenvalues must be finite", and the dense path returned an energy
+# computed from a NaN matrix
+@example(build=build_moebius, N=2, M=2, t1=1.0, t2=0.5, delta=0.5, wires="none",
+         values=[0.0], grid=[1e308], filling=0.5, complex_=False)
+@example(build=build_moebius, N=2, M=2, t1=1.0, t2=0.5, delta=0.5, wires="dense",
+         values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], grid=[1e308], filling=0.5, complex_=False)
+# a level or an entry past float range warned on its way: a doubled ring
+# bond (N = 1) of the dense stack, the unscaling of a bisected chain, the
+# band plus a chain level, and a closed-form chain level
+@example(build=build_cylinder, N=1, M=2, t1=-1.7976931348623157e308, t2=0.0, delta=0.5,
+         wires="dense", values=[1.0, 2.0, 3.0], grid=[0.0], filling=0.5, complex_=False)
+@example(build=build_cylinder, N=1, M=2, t1=1.0, t2=1e164, delta=0.5, wires="chain",
+         values=[-1.7976931348623157e308, 1.0], grid=[0.3], filling=0.5, complex_=False)
+@example(build=build_cylinder, N=2, M=2, t1=-1e302, t2=1.0, delta=0.5, wires="chain",
+         values=[0.0, 1.7976931348623157e308], grid=[0.3], filling=0.0, complex_=False)
+@example(build=build_moebius, N=3, M=1, t1=1.0, t2=1e298, delta=0.5, wires="equal",
+         values=[1.7976931348623157e308], grid=[0.3], filling=0.5, complex_=False)
+def test_spectral_and_cost_calls_are_finite_or_named_property(
+    build, N, M, t1, t2, delta, wires, values, grid, filling, complex_
+):
+    lat = build(N, M)
+    d = lat.n_sites  # at most 24
+    n_electrons = round(filling * d)
+    # every array below cycles through the values; h is Hermitian
+    h = np.zeros((d, d), dtype=np.complex128 if complex_ else np.float64)
+    upper = np.triu_indices(d)
+    h[upper] = np.resize(values, upper[0].size)
+    strict = np.triu_indices(d, 1)
+    if complex_:
+        h[strict] *= 1j
+    h[strict[::-1]] = h[strict].conj()
+    levels = _finite_or_named(eigenvalues, h)
+    if levels is not None:
+        _finite_or_named(total_energy, levels, n_electrons)
+    _finite_or_named(total_energy, np.resize(values, d), n_electrons)
+
+    epsilon = {
+        "none": None,
+        "equal": np.full((2 * N, M), values[0]),
+        "chain": np.tile(np.resize(values, M), (2 * N, 1)),
+        "dense": np.resize(values, (2 * N, M)),
+    }[wires]
+    _finite_or_named(flux_sweep, lat, HoppingParams(t1, t2, epsilon=epsilon), grid,
+                     n_electrons)
+
+    a = np.resize(np.abs(values) % 1.0, (2 * N, M))
+    c = np.resize(np.abs(values[::-1]), (2 * N, M))
+    _finite_or_named(total_hcsr, a, c, CsrParams(abs(t1), abs(t2), delta))
