@@ -237,40 +237,39 @@ def flux_sweep(
     eps = _validated_epsilon(lattice, params)
     _check_filling(n_electrons, lattice.n_sites)
 
-    if eps is None or np.all(eps == eps[0]):
-        width = -2.0 * params.t1
-        if not math.isfinite(width):
-            raise ValueError(
-                f"t1={params.t1!r} overflows the band -2*t1*cos(...)"
-            )
-        if not math.isfinite(-2.0 * params.t2):
-            raise ValueError(
-                f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)"
-            )
-        wire = np.zeros(lattice.M) if eps is None else eps[0]
-        with np.errstate(over="ignore"):  # _filled_sums names a level past float range
-            chains = _chain_levels(lattice, float(params.t2), wire)
-        q = np.arange(2 * lattice.N)
-        chain_of_q = chains[q % len(chains)]
-        k = np.pi * q / lattice.N
-        point_bytes = 8 * lattice.n_sites
-
-        def levels_at(part):
-            band = width * np.cos(k - 2.0 * np.pi * part[:, None] / lattice.N)
-            return (band[:, :, None] + chain_of_q).reshape(part.size, -1)
-
-    else:
-        point_bytes = 16 * lattice.n_sites**2
-
-        def levels_at(part):
-            return hermitian_eigvals(_stack(lattice, params, eps, part.tolist()))
-
-    out = np.empty((grid.size, 2), dtype=np.float64)
-    out[:, 0] = grid
-    step = max(1, BLOCK_BYTES // point_bytes)
-    # _filled_sums names a level past float range, and hermitian_eigvals an
-    # entry of the dense stack
+    # a level past float range is named by _filled_sums, and an entry of the
+    # dense stack by hermitian_eigvals
     with np.errstate(over="ignore"):
+        if eps is None or np.all(eps == eps[0]):
+            width = -2.0 * params.t1
+            if not math.isfinite(width):
+                raise ValueError(
+                    f"t1={params.t1!r} overflows the band -2*t1*cos(...)"
+                )
+            if not math.isfinite(-2.0 * params.t2):
+                raise ValueError(
+                    f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)"
+                )
+            wire = np.zeros(lattice.M) if eps is None else eps[0]
+            chains = _chain_levels(lattice, float(params.t2), wire)
+            q = np.arange(2 * lattice.N)
+            chain_of_q = chains[q % len(chains)]
+            k = np.pi * q / lattice.N
+            point_bytes = 8 * lattice.n_sites
+
+            def levels_at(part):
+                band = width * np.cos(k - 2.0 * np.pi * part[:, None] / lattice.N)
+                return (band[:, :, None] + chain_of_q).reshape(part.size, -1)
+
+        else:
+            point_bytes = 16 * lattice.n_sites**2
+
+            def levels_at(part):
+                return hermitian_eigvals(_stack(lattice, params, eps, part.tolist()))
+
+        out = np.empty((grid.size, 2), dtype=np.float64)
+        out[:, 0] = grid
+        step = max(1, BLOCK_BYTES // point_bytes)
         for start in range(0, grid.size, step):
             rows = slice(start, start + step)
             out[rows, 1] = _filled_sums(levels_at(grid[rows]), n_electrons)
