@@ -45,6 +45,7 @@ symmetry and takes the dense path.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -237,9 +238,12 @@ def flux_sweep(
     eps = _validated_epsilon(lattice, params)
     _check_filling(n_electrons, lattice.n_sites)
 
-    # a level past float range is named by _filled_sums, and an entry of the
-    # dense stack by hermitian_eigvals
-    with np.errstate(over="ignore"):
+    # Every level and entry lies within 2|t1| + 2|t2| + max|eps| (Gershgorin), so
+    # only past half of float max can one overflow; _filled_sums then names a
+    # level past float range, and hermitian_eigvals an entry of the dense stack.
+    bound = 2.0 * (abs(float(params.t1)) + abs(float(params.t2)))
+    bound += 0.0 if eps is None else float(np.abs(eps).max())
+    with contextlib.nullcontext() if bound < 2.0**1023 else np.errstate(over="ignore"):
         if eps is None or np.all(eps == eps[0]):
             width = -2.0 * params.t1
             if not math.isfinite(width):
