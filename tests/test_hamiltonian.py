@@ -619,10 +619,13 @@ def _finite_or_named(call, *args):
 @example(build=build_moebius, N=2, M=2, t1=1.0, t2=0.5, delta=0.5, wires="dense",
          values=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], grid=[1e308], filling=0.5, complex_=False)
 # a level or an entry past float range warned on its way: a doubled ring
-# bond (N = 1) of the dense stack, the unscaling of a bisected chain, the
-# band plus a chain level, and a closed-form chain level
+# bond (N = 1) of the dense stack, a complex entry whose modulus rounds past
+# float max, the unscaling of a bisected chain, the band plus a chain level,
+# and a closed-form chain level
 @example(build=build_cylinder, N=1, M=2, t1=-1.7976931348623157e308, t2=0.0, delta=0.5,
          wires="dense", values=[1.0, 2.0, 3.0], grid=[0.0], filling=0.5, complex_=False)
+@example(build=build_cylinder, N=2, M=1, t1=1.7976931348623157e308, t2=0.0, delta=0.5,
+         wires="dense", values=[0.0, 1.0, 2.0], grid=[0.46], filling=0.5, complex_=False)
 @example(build=build_cylinder, N=1, M=2, t1=1.0, t2=1e164, delta=0.5, wires="chain",
          values=[-1.7976931348623157e308, 1.0], grid=[0.3], filling=0.5, complex_=False)
 @example(build=build_cylinder, N=2, M=2, t1=-1e302, t2=1.0, delta=0.5, wires="chain",
