@@ -3,7 +3,7 @@ investment decision of firms arranged on the strip.
 
 Modules:
 
-* :mod:`moebius_csr.lattice` -- strip construction, edge lists, adjacency
+* :mod:`moebius_csr.lattice` -- strip construction and edge lists
 * :mod:`moebius_csr.hamiltonian` -- Hamiltonian assembly and eigenvalues
 * :mod:`moebius_csr.csr_cost` -- cost functional over contribution matrices
 * :mod:`moebius_csr.decision` -- uniform-contribution optimization

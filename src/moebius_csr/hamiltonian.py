@@ -73,14 +73,20 @@ class HoppingParams:
     epsilon: np.ndarray | None = None
 
 
+def _check_flux(phi: float) -> None:
+    if not math.isfinite(2.0 * math.pi * phi):  # nan fails too
+        raise ValueError(f"flux phi={phi!r} must be finite, with 2*pi*phi in float range")
+
+
 def _validated_epsilon(
     lattice: MoebiusLattice, params: HoppingParams
 ) -> np.ndarray | None:
     """Check ``t1``, ``t2``, ``phi`` and ``epsilon``; return ``epsilon`` as float64."""
-    for name in ("t1", "t2", "phi"):
+    for name in ("t1", "t2"):
         value = float(getattr(params, name))
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    _check_flux(float(params.phi))
     if params.epsilon is None:
         return None
     eps = np.asarray(params.epsilon, dtype=np.float64)
@@ -155,7 +161,7 @@ def _filled_sums(levels: np.ndarray, n_electrons: int) -> np.ndarray:
     """Sum of the lowest ``n_electrons`` levels of each row of ``levels``.
 
     Raises ValueError if any level is NaN or infinite.  A sum that
-    overflows comes back as inf or NaN, without a warning: each caller
+    overflows comes back as inf or NaN, without a warning: :func:`flux_sweep`
     checks the sums and names the cause.
     """
     w = np.sort(levels, axis=1)
@@ -164,24 +170,6 @@ def _filled_sums(levels: np.ndarray, n_electrons: int) -> np.ndarray:
         raise ValueError("eigenvalues must be finite (got NaN, or inf past float range)")
     with np.errstate(over="ignore", invalid="ignore"):
         return w[:, : int(n_electrons)].sum(axis=1)
-
-
-def total_energy(eigenvalues_: np.ndarray, n_electrons: int) -> float:
-    """Ground-state energy with the lowest ``n_electrons`` levels filled.
-
-    Raises ValueError if any level is NaN or infinite, or if the sum of
-    the filled levels overflows float range.
-    """
-    w = np.asarray(eigenvalues_, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("eigenvalues must be a 1-d array")
-    _check_filling(n_electrons, w.size)
-    energy = float(_filled_sums(w[None, :], n_electrons)[0])
-    if not math.isfinite(energy):
-        raise ValueError(
-            f"the sum of the lowest {n_electrons} levels overflows float range"
-        )
-    return energy
 
 
 def _chain_levels(lattice: MoebiusLattice, t2: float, wire: np.ndarray) -> np.ndarray:
@@ -195,13 +183,9 @@ def _chain_levels(lattice: MoebiusLattice, t2: float, wire: np.ndarray) -> np.nd
     M = lattice.M
     moebius = lattice.topology is Topology.MOEBIUS
     if np.all(wire == wire[0]):
-        shift = float(wire[0])
-        if moebius:
-            modes = np.arange(1, 2 * M + 1)
-            levels = shift - 2.0 * t2 * np.cos(np.pi * modes / (2 * M + 1))
-            return np.stack([levels[0::2], levels[1::2]])  # odd modes: T_0
-        modes = np.arange(1, M + 1)
-        return (shift - 2.0 * t2 * np.cos(np.pi * modes / (M + 1)))[None, :]
+        ends = 2 * M + 1 if moebius else M + 1
+        levels = float(wire[0]) - 2.0 * t2 * np.cos(np.pi * np.arange(1, ends) / ends)
+        return np.stack([levels[0::2], levels[1::2]]) if moebius else levels[None, :]
     twists = (-t2, t2) if moebius else (0.0,)
     diag = np.tile(wire, (len(twists), 1))
     diag[:, -1] += twists
@@ -232,9 +216,7 @@ def flux_sweep(
     grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if grid.size == 0:
         raise ValueError("flux grid must be nonempty")
-    if not math.isfinite(2.0 * math.pi * float(np.abs(grid).max())):  # nan fails too
-        phi = grid.item(np.abs(grid).argmax())
-        raise ValueError(f"flux phi={phi!r} must be finite, with 2*pi*phi in float range")
+    _check_flux(grid.item(np.abs(grid).argmax()))  # argmax finds a nan first
     eps = _validated_epsilon(lattice, params)
     _check_filling(n_electrons, lattice.n_sites)
 

@@ -83,35 +83,6 @@ class MoebiusLattice:
         self.validate_site(site)
         return (site.m - 1) * 2 * self.N + (site.n - 1)
 
-    def site_at(self, index: int) -> SiteCoord:
-        """Inverse of :meth:`site_index`."""
-        if not (0 <= index < self.n_sites):
-            raise ValueError(f"site index {index} outside 0..{self.n_sites - 1}")
-        m, n = divmod(index, 2 * self.N)
-        return SiteCoord(n + 1, m + 1)
-
-    def neighbors(self, site: SiteCoord) -> tuple[tuple[SiteCoord, EdgeKind], ...]:
-        """Bond endpoints incident to ``site``, one entry per bond.
-
-        Entries follow the order of ``edges``.  Doubled bonds (the N = 1
-        ring) appear once per stored edge, so the entry count always equals
-        the site's bond degree.
-        """
-        self.validate_site(site)
-        found = []
-        for kind, a, b in self.edges:
-            if a == site:
-                found.append((b, kind))
-            elif b == site:
-                found.append((a, kind))
-        return tuple(found)
-
-    def edge_counts(self) -> dict[EdgeKind, int]:
-        counts = {kind: 0 for kind in EdgeKind}
-        for edge in self.edges:
-            counts[edge.kind] += 1
-        return counts
-
     def to_csv(self) -> str:
         """Edge list as CSV text with header ``kind,n1,m1,n2,m2``."""
         out = io.StringIO()

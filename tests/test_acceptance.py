@@ -8,15 +8,27 @@ under test.
 """
 
 import contextlib
-import json
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy
 
-from conftest import bisect_root, dhcsr_expanded, random_scenario, ring_dispersion
+from conftest import (
+    COST_REPORT,
+    OPTIMIZE_S0_REPORT,
+    SPECTRUM_CSV,
+    STATICS_M_CSV,
+    bisect_root,
+    coordinate_neighbors,
+    dhcsr_expanded,
+    incidences,
+    random_scenario,
+    ring_dispersion,
+    second_difference,
+)
 from moebius_csr import cli, csr_cost
 from moebius_csr.decision import (
     CsrScenario,
@@ -41,11 +53,6 @@ def criterion(num, summary):
         print(f"[criterion {num}] FAIL - {summary}")
         raise
     print(f"[criterion {num}] PASS - {summary}")
-
-
-def second_difference(s, c, rel_step=1e-3):
-    h = rel_step * c
-    return hcsr_of_c(c + h, s) - 2.0 * hcsr_of_c(c, s) + hcsr_of_c(c - h, s)
 
 
 def test_criterion_01_closed_form_roots(s0, s1):
@@ -209,60 +216,38 @@ def test_criterion_08_lattice_suite():
         for n in range(1, 9):
             for m in range(1, 9):
                 for lat in (build_moebius(n, m), build_cylinder(n, m)):
-                    counts = lat.edge_counts()
+                    assert lat.n_sites == 2 * n * m
+                    counts = Counter(kind for kind, _, _ in lat.edges)
                     assert counts[EdgeKind.LONGITUDINAL] == 2 * n * m
                     assert counts[EdgeKind.TRANSVERSE] == 2 * n * (m - 1)
                     twisted = lat.topology.value == "moebius"
                     assert counts[EdgeKind.TWIST] == (n if twisted else 0)
-                    assert len(lat.edges) == sum(counts.values())
-                    for i in range(lat.n_sites):
-                        site = lat.site_at(i)
-                        for other, kind in lat.neighbors(site):
-                            back = lat.neighbors(other)
-                            assert back.count((site, kind)) == lat.neighbors(
-                                site
-                            ).count((other, kind))
+                    # each site's bonds, read from one pass over the edges,
+                    # equal the coordinate oracle's; every edge is read at
+                    # both its ends, so the bonds are symmetric too
+                    for site, found in incidences(lat).items():
+                        assert Counter(found) == Counter(coordinate_neighbors(lat, site))
 
 
-def test_criterion_09_cli_determinism(tmp_path, capsys):
+def test_criterion_09_cli_determinism(tmp_path, capsys, scenario_file, cost_files):
     with criterion(9, "every subcommand reproduces its golden output byte for byte"):
-        scenario = tmp_path / "s0.json"
-        scenario.write_text(
-            json.dumps(
-                {
-                    "N": 10, "M": 2, "a": 0.5, "k": 2.0, "beta": 2.0,
-                    "delta": 0.1, "p": 3.0, "w": 1.0, "lambda": 4,
-                }
-            ),
-            encoding="utf-8",
-        )
-        a_csv = tmp_path / "a.csv"
-        c_csv = tmp_path / "c.csv"
-        a_csv.write_text("\n".join(["0.5,0.5"] * 4) + "\n", encoding="utf-8")
-        c_csv.write_text("\n".join(["0.25,0.25"] * 4) + "\n", encoding="utf-8")
-
+        a_csv, c_csv = cost_files
         goldens = {
-            "optimize": (
-                ["optimize", "--scenario", str(scenario)],
-                "case=BetaAboveOne\nc_star_paper=1.36752136752\nkind=LocalMin\n"
-                "c_opt=0\nH_opt=0\nfeasible=true\n",
-            ),
+            "optimize": (["optimize", "--scenario", scenario_file], OPTIMIZE_S0_REPORT),
             "statics": (
-                ["statics", "--scenario", str(scenario), "--param", "M",
+                ["statics", "--scenario", scenario_file, "--param", "M",
                  "--range", "2:5:1"],
-                "param_value,c_star\n2,1.36752136752\n3,1.24352331606\n"
-                "4,1.18959107807\n5,1.15942028986\n",
+                STATICS_M_CSV,
             ),
             "spectrum": (
                 ["spectrum", "--n", "2", "--m", "2", "--t1", "1", "--t2", "0.5",
                  "--flux-sweep", "0:2:1"],
-                "phi,total_energy\n0,-5.11803398875\n1,-5.11803398875\n"
-                "2,-5.11803398875\n",
+                SPECTRUM_CSV,
             ),
             "cost": (
-                ["cost", "--contributions", str(a_csv), "--costs", str(c_csv),
+                ["cost", "--contributions", a_csv, "--costs", c_csv,
                  "--t1", "2", "--t2", "1", "--delta", "0.5"],
-                "cost=-2\nneighborhood=2\nsector=1\nloyalty=0.5\ntotal=1.5\n",
+                COST_REPORT,
             ),
             "lattice": (
                 ["lattice", "--n", "1", "--m", "2"],

@@ -7,41 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import COST_REPORT, OPTIMIZE_S0_REPORT, S0_DATA, SPECTRUM_CSV, STATICS_M_CSV
 from moebius_csr import cli, decision
 from moebius_csr.lattice import build_cylinder, build_moebius
-
-S0_DATA = {
-    "N": 10,
-    "M": 2,
-    "a": 0.5,
-    "k": 2.0,
-    "beta": 2.0,
-    "delta": 0.1,
-    "p": 3.0,
-    "w": 1.0,
-    "lambda": 4,
-}
-
-OPTIMIZE_S0_REPORT = (
-    "case=BetaAboveOne\n"
-    "c_star_paper=1.36752136752\n"
-    "kind=LocalMin\n"
-    "c_opt=0\n"
-    "H_opt=0\n"
-    "feasible=true\n"
-)
 
 OPTIMIZE_S1_CSV = (
     "case,c_star_paper,kind,c_opt,H_opt,feasible\n"
     "BetaBelowOne,0.26736328125,LocalMax,0.26736328125,5.347265625,true\n"
-)
-
-STATICS_M_CSV = (
-    "param_value,c_star\n"
-    "2,1.36752136752\n"
-    "3,1.24352331606\n"
-    "4,1.18959107807\n"
-    "5,1.15942028986\n"
 )
 
 STATICS_BETA_CSV = (
@@ -50,31 +22,6 @@ STATICS_BETA_CSV = (
     "1,\n"
     "1.5,1.66232416945\n"
 )
-
-SPECTRUM_CSV = (
-    "phi,total_energy\n"
-    "0,-5.11803398875\n"
-    "1,-5.11803398875\n"
-    "2,-5.11803398875\n"
-)
-
-COST_REPORT = "cost=-2\nneighborhood=2\nsector=1\nloyalty=0.5\ntotal=1.5\n"
-
-
-@pytest.fixture
-def scenario_file(tmp_path):
-    path = tmp_path / "s0.json"
-    path.write_text(json.dumps(S0_DATA), encoding="utf-8")
-    return str(path)
-
-
-@pytest.fixture
-def cost_files(tmp_path):
-    a = tmp_path / "a.csv"
-    c = tmp_path / "c.csv"
-    a.write_text("\n".join(["0.5,0.5"] * 4) + "\n", encoding="utf-8")
-    c.write_text("\n".join(["0.25,0.25"] * 4) + "\n", encoding="utf-8")
-    return str(a), str(c)
 
 
 def run_cli(capsys, argv):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_root, dhcsr_expanded, random_scenario
+from conftest import bisect_root, dhcsr_expanded, random_scenario, second_difference
 from moebius_csr.decision import (
     LOYALTY_EXPONENTS,
     SCENARIO_KEYS,
@@ -35,11 +35,6 @@ from moebius_csr.decision import (
     _objective,
     _uniform_grid,
 )
-
-
-def second_difference(s, c, rel_step=1e-3):
-    h = rel_step * c
-    return hcsr_of_c(c + h, s) - 2.0 * hcsr_of_c(c, s) + hcsr_of_c(c - h, s)
 
 
 # --- scenario plumbing -------------------------------------------------

@@ -17,9 +17,8 @@ from moebius_csr.hamiltonian import (
     assemble,
     eigenvalues,
     flux_sweep,
-    total_energy,
 )
-from moebius_csr.lattice import EdgeKind, build_cylinder, build_moebius
+from moebius_csr.lattice import EdgeKind, SiteCoord, build_cylinder, build_moebius
 
 
 def test_assemble_shape_and_exact_hermiticity():
@@ -44,9 +43,10 @@ def test_assemble_diagonal_is_epsilon():
     lat = build_moebius(2, 3)
     eps = np.arange(12, dtype=float).reshape(4, 3)
     h = assemble(lat, HoppingParams(t1=1.0, t2=0.5, epsilon=eps))
-    for index in range(lat.n_sites):
-        site = lat.site_at(index)
-        assert h[index, index] == eps[site.n - 1, site.m - 1]
+    for n in range(1, 5):
+        for m in range(1, 4):
+            index = lat.site_index(SiteCoord(n, m))
+            assert h[index, index] == eps[n - 1, m - 1]
 
 
 def test_assemble_zero_hopping_spectrum_is_sorted_epsilon():
@@ -233,28 +233,6 @@ def test_cylinder_equals_moebius_at_zero_transverse():
     cyl = build_cylinder(3, 2)
     params = HoppingParams(t1=1.0, t2=0.0, phi=0.2)
     assert np.array_equal(assemble(moe, params), assemble(cyl, params))
-
-
-def test_total_energy():
-    w = np.array([-2.0, 0.0, 0.0, 2.0])
-    assert total_energy(w, 1) == -2.0
-    assert total_energy(w, 0) == 0.0
-    assert total_energy(w, 4) == 0.0  # full filling equals the trace
-    shuffled = np.array([2.0, -2.0, 0.0, 0.0])
-    assert total_energy(shuffled, 1) == -2.0
-    for bad in (-1, 5):
-        with pytest.raises(ValueError):
-            total_energy(w, bad)
-    for bad in (1.5, True, False, np.bool_(True)):
-        with pytest.raises(ValueError, match="integer"):
-            total_energy(w, bad)
-    assert total_energy(w, np.int64(2)) == -2.0
-    with pytest.raises(ValueError, match="integer"):
-        flux_sweep(build_moebius(2, 2), HoppingParams(t1=1.0, t2=0.5), [0.0], True)
-    # sorting puts NaN last: a NaN level used to be dropped from the sum
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            total_energy(np.array([bad, 1.0, -1.0]), 1)
 
 
 def test_flux_sweep_curve():
@@ -449,8 +427,20 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
             flux_sweep(lat, params, [0.0], 2)
         with pytest.raises(ValueError):
             assemble(lat, params)
-    with pytest.raises(ValueError):
-        flux_sweep(lat, HoppingParams(t1=1.0, t2=1.0), [0.0], 9)
+    # a filling is an integer count in 0..d, never a bool
+    params = HoppingParams(t1=1.0, t2=1.0)
+    for bad in (-1, lat.n_sites + 1):
+        with pytest.raises(ValueError, match=r"in 0\.\.8"):
+            flux_sweep(lat, params, [0.0], bad)
+    for bad in (1.5, 2.0, True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="integer"):
+            flux_sweep(lat, params, [0.0], bad)
+    want = flux_sweep(lat, params, [0.0], 2)
+    assert np.array_equal(flux_sweep(lat, params, [0.0], np.int64(2)), want)
+    # sorting puts NaN last: a NaN level used to be dropped from the sum
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hamiltonian._filled_sums(np.array([[bad, 1.0, -1.0]]), 1)
 
 
 def test_flux_sweep_raises_on_overflowing_hopping():
@@ -489,7 +479,7 @@ def test_eigenvalues_rejects_non_finite_input():
 
 def _per_point_bloch_sweep(lat, params, grid, n_electrons):
     # the Bloch path one flux point at a time: band, levels, then the
-    # lowest levels summed by total_energy and by a 1-d NumPy sort and sum
+    # lowest levels summed by a 1-d NumPy sort and sum
     chains = hamiltonian._chain_levels(lat, params.t2, np.zeros(lat.M))
     q = np.arange(2 * lat.N)
     k = np.pi * q / lat.N
@@ -497,9 +487,7 @@ def _per_point_bloch_sweep(lat, params, grid, n_electrons):
     for phi in np.asarray(grid, dtype=np.float64):
         band = -2.0 * params.t1 * np.cos(k - 2.0 * np.pi * phi / lat.N)
         levels = (band[:, None] + chains[q % len(chains)]).ravel()
-        energy = float(np.sort(levels)[:n_electrons].sum())
-        assert total_energy(levels, n_electrons) == energy
-        energies.append(energy)
+        energies.append(float(np.sort(levels)[:n_electrons].sum()))
     return np.array(energies)
 
 
@@ -543,31 +531,28 @@ def test_eigenvalues_of_huge_entries_raise_no_overflow():
             np.testing.assert_allclose(np.sort(got), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
-def test_total_energy_overflow_raises_without_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
-            total_energy(np.array([1e308, 1e308, -1.0]), 3)
-        with pytest.raises(ValueError, match="overflows"):
-            total_energy(np.array([-1e308, -1e308, 1e308, 1e308]), 4)
-
-
 def test_flux_past_float_range_raises_without_warnings():
     # 2*pi*phi overflows past |phi| ~ 2.86e307: the Bloch path warned, then
-    # raised the misnamed "eigenvalues must be finite", and the dense path
-    # returned an energy computed from a NaN matrix
-    lat = build_moebius(2, 2)
+    # raised the misnamed "eigenvalues must be finite", the dense path
+    # returned an energy computed from a NaN matrix, and assemble returned
+    # that matrix
     below = math.nextafter(sys.float_info.max / (2.0 * math.pi), 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for epsilon in (None, np.tile([1.0, 3.0], (4, 1)), np.arange(8.0).reshape(4, 2)):
-            params = HoppingParams(t1=1.0, t2=0.5, epsilon=epsilon)
-            for bad in (1e308, -1e308, 2.87e307, np.nan, np.inf):
-                message = f"^flux phi={re.escape(repr(float(bad)))} must be finite"
-                with pytest.raises(ValueError, match=message):
-                    flux_sweep(lat, params, [0.0, bad], 4)
-            # just inside the bound the energies stay finite
-            assert np.all(np.isfinite(flux_sweep(lat, params, [below, -below], 4)))
+        for lat in (build_moebius(2, 2), build_cylinder(2, 2)):
+            for epsilon in (None, np.tile([1.0, 3.0], (4, 1)), np.arange(8.0).reshape(4, 2)):
+                params = HoppingParams(t1=1.0, t2=0.5, epsilon=epsilon)
+                for bad in (1e308, -1e308, 2.87e307, np.nan, np.inf):
+                    message = f"^flux phi={re.escape(repr(float(bad)))} must be finite"
+                    with pytest.raises(ValueError, match=message):
+                        flux_sweep(lat, params, [0.0, bad], 4)
+                    with pytest.raises(ValueError, match=message):
+                        assemble(lat, replace(params, phi=bad))
+                # just inside the bound the energies and the matrices stay finite
+                assert np.all(np.isfinite(flux_sweep(lat, params, [below, -below], 4)))
+                for phi in (below, -below):
+                    h = assemble(lat, replace(params, phi=phi))
+                    assert np.all(np.isfinite(h)) and np.array_equal(h, h.conj().T)
 
 
 # --- a finite answer or a named error over the extreme domain ----------------
@@ -646,10 +631,7 @@ def test_spectral_and_cost_calls_are_finite_or_named_property(
     if complex_:
         h[strict] *= 1j
     h[strict[::-1]] = h[strict].conj()
-    levels = _finite_or_named(eigenvalues, h)
-    if levels is not None:
-        _finite_or_named(total_energy, levels, n_electrons)
-    _finite_or_named(total_energy, np.resize(values, d), n_electrons)
+    _finite_or_named(eigenvalues, h)
 
     epsilon = {
         "none": None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import incidences
 from moebius_csr.lattice import (
     Edge,
     EdgeKind,
@@ -11,57 +12,24 @@ from moebius_csr.lattice import (
 )
 
 
-def coordinate_neighbors(lat, site):
-    """Independent neighbor oracle, from the coordinates alone: ring
-    neighbors n-1 and n+1 (mod 2N), which coincide for N = 1 and so give
-    the doubled ring bond twice; rung neighbors m-1 and m+1; on a Moebius
-    strip, the twist partner n+N (mod 2N) on wire M."""
-    n, m = site
-    ring = 2 * lat.N
-    found = [
-        (SiteCoord((n - 1 + step) % ring + 1, m), EdgeKind.LONGITUDINAL)
-        for step in (-1, 1)
-    ]
-    found += [
-        (SiteCoord(n, m + step), EdgeKind.TRANSVERSE)
-        for step in (-1, 1)
-        if 1 <= m + step <= lat.M
-    ]
-    if lat.topology is Topology.MOEBIUS and m == lat.M:
-        found.append((SiteCoord((n - 1 + lat.N) % ring + 1, m), EdgeKind.TWIST))
-    return found
-
-
 def two_colorable(lat) -> bool:
     """BFS 2-coloring over the edge list (multi-edges are harmless)."""
+    bonds = incidences(lat)
     color = {}
-    for start in map(lat.site_at, range(lat.n_sites)):
+    for start in bonds:
         if start in color:
             continue
         color[start] = 0
         queue = [start]
         while queue:
             site = queue.pop()
-            for other, _ in lat.neighbors(site):
+            for other, _ in bonds[site]:
                 if other not in color:
                     color[other] = 1 - color[site]
                     queue.append(other)
                 elif color[other] == color[site]:
                     return False
     return True
-
-
-def test_edge_counts_exhaustive():
-    for N in range(1, 9):
-        for M in range(1, 9):
-            moe = build_moebius(N, M)
-            cyl = build_cylinder(N, M)
-            for lat, twist in ((moe, N), (cyl, 0)):
-                counts = lat.edge_counts()
-                assert counts[EdgeKind.LONGITUDINAL] == 2 * N * M
-                assert counts[EdgeKind.TRANSVERSE] == 2 * N * (M - 1)
-                assert counts[EdgeKind.TWIST] == twist
-            assert moe.n_sites == 2 * N * M
 
 
 def test_edge_shapes_exhaustive():
@@ -81,31 +49,10 @@ def test_edge_shapes_exhaustive():
                     assert a.n <= N and b.n == a.n + N  # stored once, n <= N
 
 
-def test_neighbors_match_edge_list_and_are_symmetric():
-    order = lambda pair: (pair[0].n, pair[0].m, pair[1].value)
-    for N, M in [(1, 1), (1, 3), (2, 2), (3, 1), (4, 3)]:
-        for build in (build_moebius, build_cylinder):
-            lat = build(N, M)
-            for index in range(lat.n_sites):
-                site = lat.site_at(index)
-                got = lat.neighbors(site)
-                expected = coordinate_neighbors(lat, site)
-                assert sorted(got, key=order) == sorted(expected, key=order)
-                for other, _ in got:
-                    assert any(back == site for back, _ in lat.neighbors(other))
-
-
 def test_longitudinal_degree_always_two():
     for N, M in [(1, 1), (1, 2), (2, 1), (3, 4)]:
-        lat = build_moebius(N, M)
-        for index in range(lat.n_sites):
-            site = lat.site_at(index)
-            longi = [
-                other
-                for other, kind in lat.neighbors(site)
-                if kind is EdgeKind.LONGITUDINAL
-            ]
-            assert len(longi) == 2
+        for found in incidences(build_moebius(N, M)).values():
+            assert [kind for _, kind in found].count(EdgeKind.LONGITUDINAL) == 2
 
 
 def test_site_index_bijection_and_order():
@@ -118,8 +65,6 @@ def test_site_index_bijection_and_order():
                 for n in range(1, 2 * N + 1)
             ]
             assert seen == list(range(lat.n_sites))
-            for index in seen:
-                assert lat.site_index(lat.site_at(index)) == index
 
 
 def test_site_index_examples():
@@ -131,13 +76,13 @@ def test_site_index_examples():
 
 def test_smallest_lattice():
     lat = build_moebius(1, 1)
-    counts = lat.edge_counts()
     assert lat.n_sites == 2
-    assert counts[EdgeKind.LONGITUDINAL] == 2  # doubled bond of the 2-ring
-    assert counts[EdgeKind.TRANSVERSE] == 0
-    assert counts[EdgeKind.TWIST] == 1
+    # the doubled bond of the 2-ring, then the twist
+    assert [kind for kind, _, _ in lat.edges] == [
+        EdgeKind.LONGITUDINAL, EdgeKind.LONGITUDINAL, EdgeKind.TWIST
+    ]
     # the doubled bond shows up as two neighbor entries, plus the twist
-    entries = lat.neighbors(SiteCoord(1, 1))
+    entries = incidences(lat)[SiteCoord(1, 1)]
     assert len(entries) == 3
     assert all(other == SiteCoord(2, 1) for other, _ in entries)
 
@@ -164,14 +109,14 @@ def test_cylinder_is_moebius_minus_twist():
 
 
 def test_neighbor_examples_n2_m2():
-    lat = build_moebius(2, 2)
-    got = {(o, k) for o, k in lat.neighbors(SiteCoord(1, 1))}
+    bonds = incidences(build_moebius(2, 2))
+    got = set(bonds[SiteCoord(1, 1)])
     assert got == {
         (SiteCoord(2, 1), EdgeKind.LONGITUDINAL),
         (SiteCoord(4, 1), EdgeKind.LONGITUDINAL),
         (SiteCoord(1, 2), EdgeKind.TRANSVERSE),
     }
-    got = {(o, k) for o, k in lat.neighbors(SiteCoord(1, 2))}
+    got = set(bonds[SiteCoord(1, 2)])
     assert got == {
         (SiteCoord(2, 2), EdgeKind.LONGITUDINAL),
         (SiteCoord(4, 2), EdgeKind.LONGITUDINAL),
@@ -214,12 +159,8 @@ def test_site_validation():
     for bad in [SiteCoord(0, 1), SiteCoord(5, 1), SiteCoord(1, 0), SiteCoord(1, 3)]:
         with pytest.raises(ValueError):
             lat.site_index(bad)
-        with pytest.raises(ValueError):
-            lat.neighbors(bad)
-    with pytest.raises(ValueError):
-        lat.site_at(lat.n_sites)
-    with pytest.raises(ValueError):
-        lat.site_at(-1)
+        with pytest.raises(ValueError, match="outside lattice"):
+            lat.validate_site(bad)
 
 
 def test_build_is_deterministic():
