@@ -201,8 +201,8 @@ def flux_sweep(
     """Ground-state energy along a flux grid.
 
     Returns an array of shape ``(len(phis), 2)`` with columns
-    ``(phi, total_energy)``.  ``params.phi`` is ignored: the grid
-    supplies the flux.
+    ``(phi, total_energy)``.  The grid supplies the flux; ``params.phi``
+    is only checked, as every flux is.
 
     When ``params.epsilon`` is None or equal in every row (constant along
     each wire) the sweep takes the Bloch path of the module docstring: the
