@@ -28,12 +28,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import csr_cost, decision, hamiltonian
-from .lattice import Topology, build_cylinder, build_moebius
+from .lattice import MoebiusLattice, Topology
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_INFEASIBLE = 3
+# The most points a grid flag may ask for, checked before the grid is built:
+# far above every grid in use, far below one that would exhaust memory.
+MAX_POINTS = 10**6
 
 
 def _fmt(x) -> str:
@@ -77,8 +80,10 @@ def _parse_sweep(text: str, flag: str) -> np.ndarray:
         raise ValueError(f"{flag} step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"{flag} stop must be >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    count = (stop - start) / step + 1e-9  # points after the first; inf past float range
+    if not count < MAX_POINTS:
+        raise ValueError(f"{flag} asks for {count + 1:.12g} points (limit {MAX_POINTS})")
+    return start + step * np.arange(math.floor(count) + 1)
 
 
 def _load_scenario(args) -> decision.CsrScenario:
@@ -95,19 +100,13 @@ def _load_scenario(args) -> decision.CsrScenario:
     return replace(scenario, **overrides) if overrides else scenario
 
 
-def _build_lattice(args):
-    if args.topology == Topology.CYLINDER.value:
-        return build_cylinder(args.n, args.m)
-    return build_moebius(args.n, args.m)
-
-
 def _cmd_lattice(args) -> tuple[str, int]:
-    lat = _build_lattice(args)
+    lat = MoebiusLattice(args.n, args.m, args.topology)
     return (lat.to_dot() if args.format == "dot" else lat.to_csv()), EXIT_OK
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
-    lat = _build_lattice(args)
+    lat = MoebiusLattice(args.n, args.m, args.topology)
     electrons = args.electrons if args.electrons is not None else lat.N * lat.M
     if args.flux_sweep is not None:
         grid = _parse_sweep(args.flux_sweep, "--flux-sweep")
@@ -137,6 +136,9 @@ def _cmd_cost(args) -> tuple[str, int]:
 
 
 def _cmd_optimize(args) -> tuple[str, int]:
+    if args.oracle_points is not None and args.oracle_points > MAX_POINTS:
+        raise ValueError(
+            f"--oracle-points asks for {args.oracle_points} points (limit {MAX_POINTS})")
     scenario = _load_scenario(args)
     if args.dump_config is not None:
         dump = json.dumps(scenario.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -8,7 +8,7 @@ the outermost wire ``m = M`` to itself half a turn away, bonding ``(n, M)``
 to ``(n + N, M)``; the cylinder variant omits those bonds and serves as the
 untwisted reference.
 
-Edges are stored once per physical bond, in a fixed deterministic order:
+Edges are listed once per physical bond, in a fixed deterministic order:
 all longitudinal bonds (by wire, then position), then all transverse bonds
 (same order), then the twist bonds (by position ``n = 1..N``).  For
 ``N = 1`` a ring has only two sites and the two longitudinal bonds of a
@@ -19,6 +19,7 @@ two longitudinal bond endpoints.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import numbers
 from dataclasses import dataclass
@@ -60,12 +61,35 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class MoebiusLattice:
-    """Immutable strip lattice; ``edges`` is its whole graph."""
+    """Immutable strip lattice, fixed by its sizes and topology; ``edges``,
+    its whole graph, is listed on first use."""
 
     N: int
     M: int
     topology: Topology
-    edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        if not (is_int(self.N) and is_int(self.M)):
+            raise ValueError("N and M must be integers")
+        N, M = int(self.N), int(self.M)
+        if N < 1 or M < 1:
+            raise ValueError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "topology", Topology(self.topology))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        N, M, ring = self.N, self.M, 2 * self.N
+        sites = [SiteCoord(n, m) for m in range(1, M + 1) for n in range(1, ring + 1)]
+        edges = [Edge(EdgeKind.LONGITUDINAL, a, SiteCoord(a.n % ring + 1, a.m))
+                 for a in sites]
+        edges += [Edge(EdgeKind.TRANSVERSE, a, SiteCoord(a.n, a.m + 1))
+                  for a in sites[:-ring]]
+        if self.topology is Topology.MOEBIUS:  # positions 1..N of the last wire
+            edges += [Edge(EdgeKind.TWIST, a, SiteCoord(a.n + N, M))
+                      for a in sites[-ring:-N]]
+        return tuple(edges)
 
     @property
     def n_sites(self) -> int:
@@ -97,44 +121,16 @@ class MoebiusLattice:
         out.write(f"graph {self.topology.value}_N{self.N}_M{self.M} {{\n")
         out.write("  node [shape=circle];\n")
         for kind, a, b in self.edges:
-            out.write(
-                f'  "{a.n},{a.m}" -- "{b.n},{b.m}" [kind="{kind.value}"];\n'
-            )
+            out.write(f'  "{a.n},{a.m}" -- "{b.n},{b.m}" [kind="{kind.value}"];\n')
         out.write("}\n")
         return out.getvalue()
 
 
-def _build(N: int, M: int, topology: Topology) -> MoebiusLattice:
-    if not (is_int(N) and is_int(M)):
-        raise ValueError("N and M must be integers")
-    N, M = int(N), int(M)
-    if N < 1 or M < 1:
-        raise ValueError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
-
-    ring = 2 * N
-    edges: list[Edge] = []
-    for m in range(1, M + 1):
-        for n in range(1, ring + 1):
-            n_next = n % ring + 1
-            edges.append(
-                Edge(EdgeKind.LONGITUDINAL, SiteCoord(n, m), SiteCoord(n_next, m))
-            )
-    for m in range(1, M):
-        for n in range(1, ring + 1):
-            edges.append(
-                Edge(EdgeKind.TRANSVERSE, SiteCoord(n, m), SiteCoord(n, m + 1))
-            )
-    if topology is Topology.MOEBIUS:
-        for n in range(1, N + 1):
-            edges.append(Edge(EdgeKind.TWIST, SiteCoord(n, M), SiteCoord(n + N, M)))
-    return MoebiusLattice(N=N, M=M, topology=topology, edges=tuple(edges))
-
-
 def build_moebius(N: int, M: int) -> MoebiusLattice:
     """Strip of M wires with the half-turn glue on the outermost wire."""
-    return _build(N, M, Topology.MOEBIUS)
+    return MoebiusLattice(N, M, Topology.MOEBIUS)
 
 
 def build_cylinder(N: int, M: int) -> MoebiusLattice:
     """Untwisted reference: same rings and rungs, no half-turn glue."""
-    return _build(N, M, Topology.CYLINDER)
+    return MoebiusLattice(N, M, Topology.CYLINDER)

@@ -212,6 +212,33 @@ def test_statics_rejects_bad_range(capsys, scenario_file, bad):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["statics", "--param", "beta", "--range", "0:1e300:1e-300"],
+     "--range asks for inf points (limit 1000000)"),
+    (["statics", "--param", "beta", "--range", "0:1:1e-15"],
+     "--range asks for 1e+15 points (limit 1000000)"),
+    (["spectrum", "--n", "2", "--m", "2", "--flux-sweep", "0:1:1e-15"],
+     "--flux-sweep asks for 1e+15 points (limit 1000000)"),
+    (["optimize", "--oracle-points", str(10**12)],
+     "--oracle-points asks for 1000000000000 points (limit 1000000)"),
+])
+def test_grid_past_the_point_limit_is_refused_before_allocation(
+    capsys, scenario_file, argv, message
+):
+    if argv[0] != "spectrum":
+        argv = [argv[0], "--scenario", scenario_file, *argv[1:]]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_parse_sweep_point_limit():
+    assert cli.MAX_POINTS == 10**6
+    grid = cli._parse_sweep("0:999999:1", "--range")
+    assert len(grid) == cli.MAX_POINTS and grid[-1] == 999999.0
+    with pytest.raises(ValueError, match=r"^--range asks for 1000001 points \(limit 1000000\)$"):
+        cli._parse_sweep("0:1000000:1", "--range")
+
+
 # --- spectrum ---------------------------------------------------------
 
 

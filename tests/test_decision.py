@@ -33,6 +33,7 @@ from moebius_csr.decision import (
     _h_at,
     _nan_rank,
     _objective,
+    _past_range,
     _uniform_grid,
 )
 
@@ -211,58 +212,45 @@ def scenarios(max_beta, max_p, max_w):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(scenarios(max_beta=40.0, max_p=1e12, max_w=1e3), st.data())
-def test_hcsr_scalar_equals_array_bitwise_property(s, data):
-    budget = max(0.0, s.p - s.w)
-    grid = np.linspace(0.0, budget, 17)
-    picks = data.draw(st.lists(st.floats(0.0, max(budget, 1.0)), max_size=8))
-    outlays = np.concatenate([grid, picks, [1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no overflow or 0 * inf warnings
-        scalars = []
-        for c in outlays:
-            try:
-                scalars.append(hcsr_of_c(float(c), s))
-            except ValueError as exc:  # H past float range
-                scalars.append(str(exc))
-        finite = np.array([type(v) is float for v in scalars])
-        values = hcsr_of_c(outlays[finite], s)
-        assert list(values) == [v for v in scalars if type(v) is float]
-        if not finite.all():  # the array names its first outlay past float range
-            message = scalars[int(np.argmin(finite))]
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                hcsr_of_c(outlays, s)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    st.one_of(
-        scenarios(max_beta=40.0, max_p=1e12, max_w=1e3),
-        st.integers(0, 2**32 - 1).map(
-            lambda seed: _extreme_scenarios(np.random.default_rng(seed), 1)[0]),
-    ),
+    scenarios(max_beta=40.0, max_p=1e12, max_w=1e3),
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: _extreme_scenarios(np.random.default_rng(seed), 1)[0]),
     st.data(),
 )
-def test_scalar_h_equals_array_h_bitwise_property(s, data):
-    # the optimizers score H one outlay at a time in Python floats around
-    # one np.power (_h_at); hcsr_of_c scores an array in NumPy.  A non-finite
-    # scalar H must be the one the array path names
-    budget = max(0.0, s.p - s.w)
-    picks = data.draw(st.lists(st.floats(0.0, budget), max_size=6))
-    outlays = [0.0, budget / 3.0, budget, *picks]
-    nb, slope, errstate = _objective(s, budget)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with errstate:
-            scalars = [_h_at(c, s, nb, slope) for c in outlays]
-        finite = [(c, h) for c, h in zip(outlays, scalars) if math.isfinite(h)]
-        values = hcsr_of_c(np.array([c for c, _ in finite]), s)
-        assert values.tobytes() == np.array([h for _, h in finite]).tobytes()
-        for c, h in zip(outlays, scalars):
-            if not math.isfinite(h):
-                message = f"H past float range at outlay c={c!r} (H={h!r})"
-                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    hcsr_of_c(np.array([c]), s)
+def test_scalar_h_equals_array_h_bitwise_property(plain, extreme, data):
+    # H one outlay at a time, by hcsr_of_c and by the optimizers' _h_at (Python
+    # floats around one np.power), equals hcsr_of_c on an array bit for bit;
+    # a non-finite H is the one both name.  Outlays: a grid over the budget,
+    # its third, draws up to max(budget, 1) and 1.0, so some lie past it
+    for s in (plain, extreme):
+        budget = max(0.0, s.p - s.w)
+        picks = data.draw(st.lists(st.floats(0.0, max(budget, 1.0)), max_size=8))
+        outlays = [*map(float, np.linspace(0.0, budget, 17)), budget / 3.0, *picks, 1.0]
+        nb, slope, errstate = _objective(s, budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or 0 * inf warnings
+            scalars = []
+            for c in outlays:
+                try:
+                    scalars.append(hcsr_of_c(c, s))
+                except ValueError as exc:  # H past float range
+                    scalars.append(str(exc))
+            with errstate:  # _h_at runs only on [0, budget], as in the optimizers
+                at = [(c, _h_at(c, s, nb, slope), h) for c, h in zip(outlays, scalars)
+                      if c <= budget]
+            for c, h_at, h in at:
+                if type(h) is float:
+                    assert h_at.hex() == h.hex()
+                else:
+                    assert h == str(_past_range(c, h_at))
+            finite = [(c, h) for c, h in zip(outlays, scalars) if type(h) is float]
+            values = hcsr_of_c(np.array([c for c, _ in finite]), s)
+            assert values.tobytes() == np.array([h for _, h in finite]).tobytes()
+            named = [h for h in scalars if type(h) is str]
+            if named:  # the array names its first outlay past float range
+                with pytest.raises(ValueError, match=f"^{re.escape(named[0])}$"):
+                    hcsr_of_c(np.array(outlays), s)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -277,9 +265,9 @@ def test_scalar_h_equals_array_h_bitwise_property(s, data):
                      w=0.0))
 def test_optimizer_matches_oracle_property(s):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # closed-form root
+        warnings.simplefilter("error")
         report = optimize_constrained(s)
-    c_ref, h_ref = optimize_oracle(s)
+        c_ref, h_ref = optimize_oracle(s)
     budget = max(0.0, s.p - s.w)
     assert abs(report.constrained_opt - c_ref) <= max(1e-8, budget / 10_000)
     assert abs(report.objective_at_opt - h_ref) <= 1e-10 * max(1.0, abs(h_ref))

@@ -321,6 +321,20 @@ def test_clean_sweep_never_assembles(monkeypatch):
             monkeypatch.undo()
 
 
+def test_bloch_sweeps_never_list_the_edges():
+    # the Bloch path reads only N, M and the topology; the dense path lists
+    # the edges once and keeps them
+    grid = np.linspace(0.0, 3.0, 7)
+    for build in (build_moebius, build_cylinder):
+        for eps in (None, np.tile([0.2, -0.4], (6, 1))):  # clean, wire profile
+            lat = build(3, 2)
+            flux_sweep(lat, HoppingParams(t1=1.0, t2=0.5, epsilon=eps), grid, 5)
+            assert "edges" not in vars(lat)
+        lat = build(3, 2)
+        flux_sweep(lat, HoppingParams(t1=1.0, t2=0.5, epsilon=np.eye(6, 2)), grid, 5)
+        assert vars(lat)["edges"] == build(3, 2).edges
+
+
 def test_clean_sweep_never_calls_the_solver(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the solver was called")

@@ -1,3 +1,6 @@
+import re
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from conftest import incidences
 from moebius_csr.lattice import (
     Edge,
     EdgeKind,
+    MoebiusLattice,
     SiteCoord,
     Topology,
     build_cylinder,
@@ -152,6 +156,31 @@ def test_build_rejects_bad_sizes():
     assert lat == build_moebius(2, 2)
     assert type(lat.N) is int and type(lat.M) is int
     assert lat.to_dot().startswith("graph moebius_N2_M2 {")
+
+
+def test_lattice_is_its_three_numbers():
+    assert [f.name for f in fields(MoebiusLattice)] == ["N", "M", "topology"]
+    lat = MoebiusLattice(np.int64(3), np.int32(2), "cylinder")
+    assert (lat.N, lat.M, lat.topology) == (3, 2, Topology.CYLINDER)
+    assert type(lat.N) is int and type(lat.M) is int
+    assert lat == build_cylinder(3, 2) and hash(lat) == hash(build_cylinder(3, 2))
+    assert lat != build_moebius(3, 2)
+    assert repr(lat) == (
+        "MoebiusLattice(N=3, M=2, topology=<Topology.CYLINDER: 'cylinder'>)"
+    )
+    with pytest.raises(FrozenInstanceError):
+        lat.N = 4
+    # the edge list is built on first use and then kept
+    assert "edges" not in vars(lat)
+    assert lat.edges is lat.edges and vars(lat)["edges"] == build_cylinder(3, 2).edges
+    for bad, message in [
+        ((0, 2, Topology.MOEBIUS), "need N >= 1 and M >= 1, got N=0, M=2"),
+        ((True, 2, Topology.MOEBIUS), "N and M must be integers"),
+        ((2, 2.0, Topology.MOEBIUS), "N and M must be integers"),
+        ((2, 2, "twisted"), "'twisted' is not a valid Topology"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MoebiusLattice(*bad)
 
 
 def test_site_validation():
