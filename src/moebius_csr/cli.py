@@ -34,8 +34,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_INFEASIBLE = 3
-# The most points a grid flag may ask for, checked before the grid is built:
-# far above every grid in use, far below one that would exhaust memory.
+# The most points a grid flag, or sites a strip, may ask for, checked before
+# anything is built: far above every grid and strip in use, far below one
+# that would exhaust memory.
 MAX_POINTS = 10**6
 
 
@@ -100,13 +101,21 @@ def _load_scenario(args) -> decision.CsrScenario:
     return replace(scenario, **overrides) if overrides else scenario
 
 
+def _strip(args) -> MoebiusLattice:
+    lat = MoebiusLattice(args.n, args.m, args.topology)  # lists no edge yet
+    sites = 2 * lat.N * lat.M
+    if sites > MAX_POINTS:
+        raise ValueError(f"--n and --m ask for {sites} sites (limit {MAX_POINTS})")
+    return lat
+
+
 def _cmd_lattice(args) -> tuple[str, int]:
-    lat = MoebiusLattice(args.n, args.m, args.topology)
+    lat = _strip(args)
     return (lat.to_dot() if args.format == "dot" else lat.to_csv()), EXIT_OK
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
-    lat = MoebiusLattice(args.n, args.m, args.topology)
+    lat = _strip(args)
     electrons = args.electrons if args.electrons is not None else lat.N * lat.M
     if args.flux_sweep is not None:
         grid = _parse_sweep(args.flux_sweep, "--flux-sweep")

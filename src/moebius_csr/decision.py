@@ -445,7 +445,21 @@ def optimize_oracle(
     H(grid[1]).  Peak at the budget b: it ends at r <= b*exp(-3e-7); with
     each partial product of G normal from grid[-2] up, G is within 2**-48
     of G at c moved by an ulp, so H(r) <= (1 - 3e-7) * (1 + 2**-27) * H(b)
-    < H(b) while G(b) < 2**20 * H(b)."""
+    < H(b) while G(b) < 2**20 * H(b).
+
+    Where H is convex the grid's first peak follows from its two ends, and
+    no grid is built (``_convex_ends``): for ``1 <= beta <= 2**20`` with H
+    finite, n = ``grid_points`` below 2**50 and every partial product of G
+    and of the loss L at least 2**-1020 at grid[1] (so the step b/(n - 1)
+    is normal, grid[1] and grid[-2] are ``_uniform_grid``'s and no product
+    is subnormal at any grid point).  The real H of the computed
+    constants, h, is convex with h(0) = 0, so h(c) <= c/b * h(b).  With
+    NumPy's pow within 2**8 ulps, each computed G is within eta/2 * G and
+    each computed H within eta * (G + L) of h, for eta = (beta + 2**10) *
+    2**-52 (the rounding of c*a raised to beta, pow, four products and the
+    subtraction).  So every grid H past 0 is < 0 where G(b) * (1 + 4*eta)
+    < L(b), and every one before b is < H(b) where (n - 1) * 8*eta *
+    (G(b) + L(b)) < H(b); elsewhere the whole grid is scored."""
     s = scenario
     if not is_int(grid_points) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer >= 3, got {grid_points!r}")
@@ -453,14 +467,25 @@ def optimize_oracle(
     if budget <= 0.0 or s.a == 0.0:
         return 0.0, 0.0  # H(0) = 0
     nb, slope, errstate = _objective(s, budget)
-    grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
+    last = grid_points - 1
+    ends = (errstate is _NO_ERRSTATE and 1.0 <= s.beta <= 2.0**20
+            and _convex_ends(s, nb, slope, budget, last))
     with errstate:
-        values = _h(grid, s, nb, slope)
-        peak = int(values.argmax())
-        if math.isnan(values.item(peak)):  # argmax stops at the first NaN
-            peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
-        scored = [(grid.item(i), values.item(i)) for i in (0, peak, grid_points - 1)]
-        if errstate is _NO_ERRSTATE and _refinement_loses(s, nb, slope, grid, values, peak):
+        if ends:  # the peak is 0 or the budget
+            peak, c1, c2, h1, hb = ends
+            lo, top, hi = (c2, (budget, hb), budget) if peak else (0.0, (0.0, 0.0), c1)
+        else:
+            grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
+            values = _h(grid, s, nb, slope)
+            peak = int(values.argmax())
+            if math.isnan(values.item(peak)):  # argmax stops at the first NaN
+                peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
+            c1, c2, h1, hb = grid.item(1), grid.item(-2), values.item(1), values.item(-1)
+            lo, hi = grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, last))
+            top = grid.item(peak), values.item(peak)
+        scored = [(0.0, 0.0), top, (budget, hb)]
+        if (errstate is _NO_ERRSTATE and peak in (0, last)
+                and _refinement_loses(s, nb, slope, peak == 0, c1, c2, h1, hb)):
             return _best(scored, s)
         a, k, beta = s.a, s.k, s.beta
 
@@ -471,23 +496,42 @@ def optimize_oracle(
                 t = math.inf
             return t * a * a * nb - slope * c
 
-        lo, hi = max(peak - 1, 0), min(peak + 1, grid_points - 1)
-        refined = _golden_max(h_float, grid.item(lo), grid.item(hi))
+        refined = _golden_max(h_float, lo, hi)
         scored.append((refined, _h_at(refined, s, nb, slope)))
     return _best(sorted(scored), s)
 
 
-def _refinement_loses(s: CsrScenario, nb, slope, grid, values, peak: int) -> bool:
-    """``optimize_oracle``'s rule for skipping the refinement, H finite."""
+def _convex_ends(s: CsrScenario, nb, slope, budget: float, last: int):
+    """``optimize_oracle``'s peak of the grid 0..``last``, 0 or ``last``,
+    with the grid's c1 = grid[1], c2 = grid[-2], H(c1) and H(budget), each
+    bit for bit, where the convex-ends rule proves it; else None."""
     a = s.a
-    x = grid.item(-2) * a
+    step = budget / last
+    x1 = step * a
+    p1, pb = np.power((x1, budget * a), s.beta).tolist()  # as _h has them
+    t1, gb, lb = p1 * s.k * a * a, pb * s.k * a * a * nb, slope * budget
+    g1, l1, hb = t1 * nb, slope * step, gb - lb
+    if last >= 2**50 or min(x1, p1, t1, g1, l1) < 2.0**-1020 or pb >= 2.0**1020:
+        return None
+    eta = (s.beta + 2.0**10) * 2.0**-52
+    if gb * (1.0 + 4.0 * eta) < lb or last * 8.0 * eta * (gb + lb) < hb:
+        return (0 if hb < 0.0 else last), step, (last - 1) * step, g1 - l1, hb
+    return None
+
+
+def _refinement_loses(s: CsrScenario, nb, slope, at_zero: bool, c1, c2, h1, hb) -> bool:
+    """``optimize_oracle``'s rule for skipping the refinement, H finite and
+    the grid's peak at 0 (``at_zero``) or at the budget, from c1 = grid[1],
+    c2 = grid[-2], H(c1) and H(budget)."""
+    a = s.a
+    x = c2 * a
     t = x ** s.beta
     g = t * s.k * a * a  # below every partial product of G but x, t and G
     return s.beta >= 1.0 and (
-        (peak == 0 and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
-         and values.item(1) < -2.0**-20 * slope * grid.item(1))
-        or (peak == len(grid) - 1 and min(x, t, g, g * nb) >= 2.0**-1020
-            and slope * grid.item(-1) < 2.0**19 * values.item(-1)))
+        (at_zero and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
+         and h1 < -2.0**-20 * slope * c1)
+        or (not at_zero and min(x, t, g, g * nb) >= 2.0**-1020
+            and slope * (s.p - s.w) < 2.0**19 * hb))
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:

@@ -221,11 +221,20 @@ def test_statics_rejects_bad_range(capsys, scenario_file, bad):
      "--flux-sweep asks for 1e+15 points (limit 1000000)"),
     (["optimize", "--oracle-points", str(10**12)],
      "--oracle-points asks for 1000000000000 points (limit 1000000)"),
+    # a strip of 2*N*M sites: the bound is checked before any edge or level
+    (["lattice", "--n", str(10**12), "--m", "1"],
+     "--n and --m ask for 2000000000000 sites (limit 1000000)"),
+    (["lattice", "--n", "500001", "--m", "1", "--format", "dot"],
+     "--n and --m ask for 1000002 sites (limit 1000000)"),
+    (["spectrum", "--n", str(10**12), "--m", str(10**12)],
+     "--n and --m ask for 2000000000000000000000000 sites (limit 1000000)"),
+    (["spectrum", "--n", "1", "--m", "500001", "--topology", "cylinder"],
+     "--n and --m ask for 1000002 sites (limit 1000000)"),
 ])
 def test_grid_past_the_point_limit_is_refused_before_allocation(
     capsys, scenario_file, argv, message
 ):
-    if argv[0] != "spectrum":
+    if argv[0] not in ("spectrum", "lattice"):
         argv = [argv[0], "--scenario", scenario_file, *argv[1:]]
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -607,8 +607,11 @@ def test_oracle_grid_is_linspace_bitwise():
             grid = _uniform_grid(float(budget), n)
             linspace = np.linspace(0.0, budget, n)
             assert grid.tobytes() == np.minimum(linspace, budget).tobytes()
-            if budget / (n - 1) >= 2.0**-1022:
+            step = float(budget) / (n - 1)
+            if step >= 2.0**-1022:
                 assert grid.tobytes() == linspace.tobytes()
+                # the oracle's convex-ends rule takes these two without the grid
+                assert grid[[1, -2]].tobytes() == np.array([step, (n - 2) * step]).tobytes()
 
 
 def test_oracle_refinement_ends_for_every_budget():
@@ -819,36 +822,105 @@ def skip_edge_scenarios(draw):
         reject()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@st.composite
+def convex_end_scenarios(draw):
+    """``(scenario, grid size)`` at the margins of the oracle's convex-ends
+    rule: H(b)/G(b) within 2**-60 to 2**-20 of 0 on either side (and, for
+    contrast, up to 1/2), beta at 1, 1 + 2**-52, up to 2**20 and just past
+    it, steps at 2**-1022 and one ulp below, and the least partial product
+    of G and of the loss at grid[1] near 2**-1020 (b the budget, G the
+    gain)."""
+    def exp10(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    n = draw(st.sampled_from([3, 4, 2001, 10_000]))
+    beta = draw(st.one_of(
+        st.sampled_from([1.0, 1.0 + 2.0**-52, 2.0**20, math.nextafter(2.0**20, math.inf)]),
+        st.floats(1.0, 4.0), st.floats(1.0, 2.0**20)))
+    a = draw(st.one_of(st.floats(0.01, 0.999), st.builds(lambda e: 10.0**e, st.floats(-300, -2))))
+    step = draw(st.one_of(st.sampled_from([2.0**-1022, math.nextafter(2.0**-1022, 0.0)]),
+                          st.builds(lambda e: 10.0**e, st.floats(-300, 300)),
+                          # b*a near 1, where a large beta keeps (b*a)**beta finite
+                          st.builds(lambda u: math.exp(u / beta) / a / (n - 1),
+                                    st.floats(-600, 600))))
+    r = (draw(st.sampled_from([-1.0, 1.0]))
+         * 2.0 ** -draw(st.one_of(st.floats(20.0, 60.0), st.floats(1.0, 20.0))))
+    tiny = draw(st.booleans())
+    log_target = math.log(2.0) * draw(st.floats(-1050.0, -1016.0))
+
+    def fit(s, scale):  # k that puts G(b) at L(b) / (1 - r), so that H(b)/G(b) = r
+        b, nb, slope = s.p, s.N * bracket(s), 2.0 * s.N * s.M * a
+        log_k = (math.log(slope * b) - math.log1p(-r) - beta * math.log(b * a)
+                 - 2.0 * math.log(a) - math.log(nb))
+        if not scale:
+            return replace(s, k=math.exp(log_k))
+        # scale b so that the least of x = c*a, x**beta, t = k*x**beta*a*a,
+        # t*N*B and L at c = grid[1] meets the target, with k refitted (so t
+        # and G scale as b does)
+        x = math.log(b / (n - 1) * a)
+        t = beta * x + log_k + 2.0 * math.log(a)
+        least, rate = min((x, 1.0), (beta * x, beta), (t, 1.0), (t + math.log(nb), 1.0),
+                          (math.log(slope * b / (n - 1)), 1.0))
+        return replace(s, p=b * math.exp((log_target - least) / rate))
+
+    try:
+        s = CsrScenario(N=int(exp10(0, 30)), M=int(exp10(0, 30)), a=a, k=1.0, beta=beta,
+                        delta=draw(st.floats(0.01, 0.99)), p=step * (n - 1), w=0.0,
+                        loyalty_exponent=draw(st.sampled_from(LOYALTY_EXPONENTS)))
+        for _ in range(3 if tiny else 0):
+            s = fit(s, scale=True)
+        s = fit(s, scale=False)
+        # correct the rounding of the logs once
+        nb, loss = s.N * bracket(s), 2.0 * s.N * s.M * a * s.p
+        with np.errstate(over="ignore"):
+            gain = float(np.power(s.p * a, beta)) * s.k * a * a * nb
+        return (replace(s, k=s.k * loss / (1.0 - r) / gain) if 0.0 < gain < math.inf else s), n
+    except (ValueError, OverflowError, ZeroDivisionError):
+        reject()
+
+
+@settings(derandomize=True, max_examples=450, deadline=None)
 @given(st.one_of(
-    skip_edge_scenarios(),
-    st.integers(0, 2**32 - 1).map(lambda seed: _extreme_scenarios(np.random.default_rng(seed), 1)[0]),
+    skip_edge_scenarios().map(lambda s: (s, 2001)),
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: (_extreme_scenarios(np.random.default_rng(seed), 1)[0], 2001)),
+    convex_end_scenarios(),
 ))
 # beta >= 1 alone does not let the refinement be skipped.  Here (c*a)**beta
 # is subnormal at the budget, so H there rounds to the H of the refined
 # outlay just below it, which wins the tie
-@example(CsrScenario(N=10**79, M=10**43, a=0.666577065872421, k=1.2949296662598811e289,
-                     beta=1.5577551381065609, delta=0.3227421767802934,
-                     p=3.321734511280194e-206, w=0.0))
+@example((CsrScenario(N=10**79, M=10**43, a=0.666577065872421, k=1.2949296662598811e289,
+                      beta=1.5577551381065609, delta=0.3227421767802934,
+                      p=3.321734511280194e-206, w=0.0), 2001))
 # H(budget) is 2e-12 of the gain, so rounding lets the refinement beat it
-@example(CsrScenario(N=5, M=2, a=0.338495195835977, k=11.736428496663622, beta=1.0,
-                     delta=0.7850111155110768, p=3.1691020057939365, w=0.0))
+@example((CsrScenario(N=5, M=2, a=0.338495195835977, k=11.736428496663622, beta=1.0,
+                      delta=0.7850111155110768, p=3.1691020057939365, w=0.0), 2001))
 # t(grid[-2]) is subnormal, so G is off by far more than the convex gap
-@example(CsrScenario(N=int(4.188544566538050e95), M=45806, a=0.6195110430767343,
-                     k=1.4200265397345585e26, beta=1.0880490153745432,
-                     delta=0.7131626465586113, p=7.812714135703466e-294, w=0.0))
+@example((CsrScenario(N=int(4.188544566538050e95), M=45806, a=0.6195110430767343,
+                      k=1.4200265397345585e26, beta=1.0880490153745432,
+                      delta=0.7131626465586113, p=7.812714135703466e-294, w=0.0), 2001))
 # H(grid[1]) < 0 by 2e-15 of the loss, and at the refined outlay 1.4e-307
 # the rounding of G puts H at +1.5e-322
-@example(CsrScenario(N=1, M=19, a=0.0003044350285646902, k=9514769.478616554, beta=1.0,
-                     delta=0.8133699063446298, p=3.719499883564066, w=0.0))
-def test_oracle_equals_full_refinement_property(s):
+@example((CsrScenario(N=1, M=19, a=0.0003044350285646902, k=9514769.478616554, beta=1.0,
+                      delta=0.8133699063446298, p=3.719499883564066, w=0.0), 2001))
+# every product is subnormal, and their rounding puts the H of a grid point
+# before the budget b above H(b), where the two ends alone prove b the peak
+@example((CsrScenario(N=4, M=1, a=0.5, k=13.317014969421283, beta=1.0,
+                      delta=0.8246260864625755, p=4.2175484e-317, w=0.0), 2001))
+# (c*a)**beta is subnormal at grid[1] while its product with k is normal
+@example((CsrScenario(N=3, M=4, a=0.5, k=4.601472348866735e16, beta=1.0533256495858618,
+                      delta=0.053159456296778484, p=1.7048013644181218e-306, w=0.0,
+                      loyalty_exponent=2), 4))
+def test_oracle_equals_full_refinement_property(case):
     # the oracle skips its golden section where the refinement provably
-    # loses; the reference always refines
-    _, reference = _errstate_optimizers(s)
+    # loses, and its grid where the convex-ends rule proves the peak; the
+    # reference always scores the grid and refines
+    s, n = case
+    _, reference = _errstate_optimizers(s, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            oracle = optimize_oracle(s, 2001)
+            oracle = optimize_oracle(s, n)
         except ValueError as exc:
             oracle = str(exc)
     assert repr(oracle) == repr(reference)
@@ -871,15 +943,24 @@ def test_oracle_refines_only_where_h_can_peak_inside(monkeypatch):
         (dict(beta=1.0, k=100.0), 3.0),  # linear, rising
         (dict(beta=3.7, k=0.3, a=0.1, p=4.2), 0.0),
     ]
+    def no_grid(*args):
+        raise AssertionError("the grid was built")
+
     for change, c_best in cases:
         s = replace(base, **change)
         evaluations.clear()
-        assert optimize_oracle(s, 2001)[0] == c_best, change
-        assert evaluations == [], change
-        assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1])
+        with monkeypatch.context() as patch:
+            if s.beta >= 1.0:  # convex or linear: the two ends prove the peak
+                patch.setattr("moebius_csr.decision._uniform_grid", no_grid)
+            assert optimize_oracle(s, 2001)[0] == c_best, change
+            assert evaluations == [], change
+            assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1])
     evaluations.clear()
+    grids = []
+    monkeypatch.setattr("moebius_csr.decision._uniform_grid",
+                        lambda *args: grids.append(args) or _uniform_grid(*args))
     optimize_oracle(replace(base, beta=0.5), 2001)  # concave: the peak may lie inside
-    assert len(evaluations) > 0
+    assert len(evaluations) > 0 and grids == [(3.0, 2001)]
 
 
 # --- comparative statics ---------------------------------------------------
