@@ -822,59 +822,74 @@ def skip_edge_scenarios(draw):
         reject()
 
 
+# the draws of convex_end_scenarios: each example sits at one margin
+_CONVEX_END_DRAWS = st.fixed_dictionaries(dict(
+    margin=st.sampled_from(["ratio", "beta", "step", "tiny"]),
+    n=st.sampled_from([3, 4, 2001, 10_000]),
+    a=st.one_of(st.floats(0.01, 0.999), st.floats(-300, -2).map(lambda e: 10.0**e)),
+    sizes=st.tuples(st.floats(0, 30), st.floats(0, 30)),
+    delta=st.floats(0.01, 0.99),
+    loyalty_exponent=st.sampled_from(LOYALTY_EXPONENTS),
+    beta=st.one_of(st.floats(1.0, 4.0), st.floats(0.0, 11.0).map(lambda e: 2.0**e)),
+    edge_beta=st.sampled_from([1.0, 1.0 + 2.0**-52, 2.0**20, math.nextafter(2.0**20, math.inf)]),
+    step=st.floats(-300, 300).map(lambda e: 10.0**e),
+    edge_step=st.sampled_from([2.0**-1022, math.nextafter(2.0**-1022, 0.0)]),
+    unit=st.booleans(),
+    u=st.floats(-600, 600),
+    sign=st.sampled_from([-1.0, 1.0]),
+    near=st.floats(20.0, 60.0),
+    clear=st.floats(1.0, 20.0),
+    log2_target=st.floats(-1023.0, -1017.0),
+))
+
+
 @st.composite
 def convex_end_scenarios(draw):
-    """``(scenario, grid size)`` at the margins of the oracle's convex-ends
-    rule: H(b)/G(b) within 2**-60 to 2**-20 of 0 on either side (and, for
-    contrast, up to 1/2), beta at 1, 1 + 2**-52, up to 2**20 and just past
-    it, steps at 2**-1022 and one ulp below, and the least partial product
-    of G and of the loss at grid[1] near 2**-1020 (b the budget, G the
-    gain)."""
-    def exp10(lo, hi):
-        return 10.0 ** draw(st.floats(lo, hi))
-
-    n = draw(st.sampled_from([3, 4, 2001, 10_000]))
-    beta = draw(st.one_of(
-        st.sampled_from([1.0, 1.0 + 2.0**-52, 2.0**20, math.nextafter(2.0**20, math.inf)]),
-        st.floats(1.0, 4.0), st.floats(1.0, 2.0**20)))
-    a = draw(st.one_of(st.floats(0.01, 0.999), st.builds(lambda e: 10.0**e, st.floats(-300, -2))))
-    step = draw(st.one_of(st.sampled_from([2.0**-1022, math.nextafter(2.0**-1022, 0.0)]),
-                          st.builds(lambda e: 10.0**e, st.floats(-300, 300)),
-                          # b*a near 1, where a large beta keeps (b*a)**beta finite
-                          st.builds(lambda u: math.exp(u / beta) / a / (n - 1),
-                                    st.floats(-600, 600))))
-    r = (draw(st.sampled_from([-1.0, 1.0]))
-         * 2.0 ** -draw(st.one_of(st.floats(20.0, 60.0), st.floats(1.0, 20.0))))
-    tiny = draw(st.booleans())
-    log_target = math.log(2.0) * draw(st.floats(-1050.0, -1016.0))
+    """``(scenario, grid size)`` at one margin of the oracle's convex-ends
+    rule: H(b)/G(b) within 2**-60 to 2**-20 of 0 on either side (elsewhere
+    2**-20 to 1/2), beta at 1, 1 + 2**-52, 2**20 and just past it (elsewhere
+    up to 2**11), steps at 2**-1022 and one ulp below, or the least partial
+    product of G and of the loss at grid[1] near 2**-1020 (b the budget, G
+    the gain)."""
+    d = draw(_CONVEX_END_DRAWS)
+    margin, n, a = d["margin"], d["n"], d["a"]
+    beta = d["edge_beta"] if margin == "beta" else d["beta"]
+    step = d["step"]
+    if margin == "step":
+        step = d["edge_step"]
+    elif d["unit"] or beta > 64.0:  # b*a = exp(u/beta), so (b*a)**beta is finite
+        step = math.exp(d["u"] / beta) / a / (n - 1)
+    r = d["sign"] * 2.0 ** -(d["near"] if margin == "ratio" else d["clear"])
+    log_target = math.log(2.0) * d["log2_target"]
 
     def fit(s, scale):  # k that puts G(b) at L(b) / (1 - r), so that H(b)/G(b) = r
-        b, nb, slope = s.p, s.N * bracket(s), 2.0 * s.N * s.M * a
-        log_k = (math.log(slope * b) - math.log1p(-r) - beta * math.log(b * a)
-                 - 2.0 * math.log(a) - math.log(nb))
-        if not scale:
-            return replace(s, k=math.exp(log_k))
+        log_b, log_a, log_nb = math.log(s.p), math.log(a), math.log(s.N * bracket(s))
+        log_slope = math.log(2.0 * s.N * s.M * a)
+        log_k = log_slope - math.log1p(-r) - (beta - 1.0) * log_b - (beta + 2.0) * log_a - log_nb
+        if not scale:  # a k past float range is clamped, and misses r
+            return replace(s, k=math.exp(min(max(log_k, -700.0), 700.0)))
         # scale b so that the least of x = c*a, x**beta, t = k*x**beta*a*a,
         # t*N*B and L at c = grid[1] meets the target, with k refitted (so t
         # and G scale as b does)
-        x = math.log(b / (n - 1) * a)
-        t = beta * x + log_k + 2.0 * math.log(a)
-        least, rate = min((x, 1.0), (beta * x, beta), (t, 1.0), (t + math.log(nb), 1.0),
-                          (math.log(slope * b / (n - 1)), 1.0))
-        return replace(s, p=b * math.exp((log_target - least) / rate))
+        x = log_b - math.log(n - 1) + log_a
+        t = beta * x + log_k + 2.0 * log_a
+        least, rate = min((x, 1.0), (beta * x, beta), (t, 1.0), (t + log_nb, 1.0),
+                          (log_slope + x - log_a, 1.0))
+        return replace(s, p=s.p * math.exp(min((log_target - least) / rate, 700.0)))
 
     try:
-        s = CsrScenario(N=int(exp10(0, 30)), M=int(exp10(0, 30)), a=a, k=1.0, beta=beta,
-                        delta=draw(st.floats(0.01, 0.99)), p=step * (n - 1), w=0.0,
-                        loyalty_exponent=draw(st.sampled_from(LOYALTY_EXPONENTS)))
-        for _ in range(3 if tiny else 0):
+        s = CsrScenario(N=int(10.0 ** d["sizes"][0]), M=int(10.0 ** d["sizes"][1]), a=a, k=1.0,
+                        beta=beta, delta=d["delta"], p=step * (n - 1), w=0.0,
+                        loyalty_exponent=d["loyalty_exponent"])
+        for _ in range(3 if margin == "tiny" else 0):
             s = fit(s, scale=True)
         s = fit(s, scale=False)
         # correct the rounding of the logs once
         nb, loss = s.N * bracket(s), 2.0 * s.N * s.M * a * s.p
         with np.errstate(over="ignore"):
             gain = float(np.power(s.p * a, beta)) * s.k * a * a * nb
-        return (replace(s, k=s.k * loss / (1.0 - r) / gain) if 0.0 < gain < math.inf else s), n
+        k = s.k * loss / (1.0 - r) / gain if 0.0 < gain < math.inf else s.k
+        return (replace(s, k=k) if 0.0 < k < math.inf else s), n
     except (ValueError, OverflowError, ZeroDivisionError):
         reject()
 
