@@ -73,22 +73,6 @@ def _as_grid(x, name: str) -> np.ndarray:
     return arr
 
 
-def validate_contribution(a) -> np.ndarray:
-    """Contribution levels: shape (2N, M), entries in [0, 1)."""
-    arr = _as_grid(a, "contribution matrix")
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise ValueError("contribution entries must lie in [0, 1)")
-    return arr
-
-
-def validate_cost(c) -> np.ndarray:
-    """Monetary outlays: shape (2N, M), entries >= 0."""
-    arr = _as_grid(c, "cost matrix")
-    if np.any(arr < 0.0):
-        raise ValueError("cost entries must be >= 0")
-    return arr
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """The four addends of the cost functional and their exact sum.
@@ -105,10 +89,15 @@ class CostBreakdown:
 
 
 def total_hcsr(a, c, params: CsrParams) -> CostBreakdown:
-    """Evaluate the cost functional for contribution levels and outlays; a
-    total past float range raises ValueError naming the first such term."""
-    arr_a = validate_contribution(a)
-    arr_c = validate_cost(c)
+    """Evaluate the cost functional for contribution levels ``a`` in [0, 1)
+    and outlays ``c >= 0``, both of shape (2N, M); a total past float range
+    raises ValueError naming the first such term."""
+    arr_a = _as_grid(a, "contribution matrix")
+    if np.any(arr_a < 0.0) or np.any(arr_a >= 1.0):
+        raise ValueError("contribution entries must lie in [0, 1)")
+    arr_c = _as_grid(c, "cost matrix")
+    if np.any(arr_c < 0.0):
+        raise ValueError("cost entries must be >= 0")
     if arr_a.shape != arr_c.shape:
         raise ValueError(
             f"shape mismatch: contributions {arr_a.shape} vs costs {arr_c.shape}"

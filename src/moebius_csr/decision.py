@@ -4,11 +4,12 @@ When every firm on a ``2N x M`` strip contributes the same level ``a``
 and spends the same outlay ``c``, the cost functional collapses to one
 objective H(c) (``_objective``), which the firm maximizes over its budget
 ``0 <= c <= p - w``.  The module holds the scenario (``CsrScenario``),
-H and its bracket (``hcsr_of_c``, ``bracket``), the stationary point and
-its kind (``stationary_closed_form``, ``classify_stationary``), the
-optimizer over the budget (``optimize_constrained``), a grid oracle that
-does without the closed form (``optimize_oracle``) and the sensitivity of
-the stationary point (``comparative_statics``).
+H and its bracket (``hcsr_of_c``, ``bracket``), the stationary point
+(``stationary_closed_form``), the optimizer over the budget, which also
+reports the regime of beta and the stationary point's kind
+(``optimize_constrained``), a grid oracle that does without the closed
+form (``optimize_oracle``) and the sensitivity of the stationary point
+(``comparative_statics``).
 """
 
 from __future__ import annotations
@@ -274,16 +275,14 @@ def hcsr_of_c(c, scenario: CsrScenario):
 
 
 def _case(beta, a):
-    """``(beta_regime, classify_stationary)`` of a scenario's beta and a."""
+    """``DecisionReport``'s ``(case, stationary_kind)`` of a scenario's beta
+    and a: the kind of ``stationary_closed_form``'s point by the regime of
+    beta, None when H has none (``a == 0``, ``beta != 1``)."""
     if beta == 1.0:
         return BetaRegime.BETA_EQUAL_ONE, StationaryKind.FLAT_DERIVATIVE
     if beta > 1.0:
         return BetaRegime.BETA_ABOVE_ONE, None if a == 0.0 else StationaryKind.LOCAL_MIN
     return BetaRegime.BETA_BELOW_ONE, None if a == 0.0 else StationaryKind.LOCAL_MAX
-
-
-def beta_regime(scenario: CsrScenario) -> BetaRegime:
-    return _case(scenario.beta, scenario.a)[0]
 
 
 def stationary_closed_form(scenario: CsrScenario) -> float | None:
@@ -318,12 +317,6 @@ def _root(M, a, k, beta, delta, loyalty_exponent) -> float | None:
         return base ** (1.0 / (beta - 1.0))
     except (OverflowError, ZeroDivisionError):
         return math.inf
-
-
-def classify_stationary(scenario: CsrScenario) -> StationaryKind | None:
-    """Kind of ``stationary_closed_form``'s point by the regime of beta;
-    None when H has none (``a == 0``, ``beta != 1``)."""
-    return _case(scenario.beta, scenario.a)[1]
 
 
 def _nan_rank(c, scenario: CsrScenario):
@@ -436,30 +429,33 @@ def optimize_oracle(
     the refinement is scored afresh; the others keep their grid scores.
 
     At ``a == 0`` every H is ``0.0 - 0.0`` (N*B <= 4*N*M is finite) and
-    c = 0 wins: no grid is built.  With H finite, the refinement is skipped
-    where it provably loses.  At ``beta >= 1`` G(c)/c does not fall (G the
-    gain), so H(r) <= r/c * H(c) for r <= c.  Peak at 0: it ends at grid[1]
-    or in [2**-1023, grid[1]], where ``a >= 2**-16`` and ``G <= 2**20 *
-    slope * (c*a)**beta`` keep the rounding of G, subnormal steps included,
-    below 2**-30 of the loss: H < 0 by the 2**-20 margin asked of
-    H(grid[1]).  Peak at the budget b: it ends at r <= b*exp(-3e-7); with
-    each partial product of G normal from grid[-2] up, G is within 2**-48
-    of G at c moved by an ulp, so H(r) <= (1 - 3e-7) * (1 + 2**-27) * H(b)
-    < H(b) while G(b) < 2**20 * H(b).
+    c = 0 wins: no grid is built.
 
-    Where H is convex the grid's first peak follows from its two ends, and
-    no grid is built (``_convex_ends``): for ``1 <= beta <= 2**20`` with H
-    finite, n = ``grid_points`` below 2**50 and every partial product of G
-    and of the loss L at least 2**-1020 at grid[1] (so the step b/(n - 1)
-    is normal, grid[1] and grid[-2] are ``_uniform_grid``'s and no product
-    is subnormal at any grid point).  The real H of the computed
-    constants, h, is convex with h(0) = 0, so h(c) <= c/b * h(b).  With
-    NumPy's pow within 2**8 ulps, each computed G is within eta/2 * G and
-    each computed H within eta * (G + L) of h, for eta = (beta + 2**10) *
-    2**-52 (the rounding of c*a raised to beta, pow, four products and the
-    subtraction).  So every grid H past 0 is < 0 where G(b) * (1 + 4*eta)
-    < L(b), and every one before b is < H(b) where (n - 1) * 8*eta *
-    (G(b) + L(b)) < H(b); elsewhere the whole grid is scored."""
+    Where H is convex its two ends prove the answer, and neither the grid
+    nor the refinement is computed (``_convex_ends``): for ``1 <= beta <=
+    2**20`` with H finite, n = ``grid_points`` below 2**50 and every
+    partial product of G (the gain) and of the loss L at least 2**-1020 at
+    grid[1] (so the step b/(n - 1) is normal, b the budget, grid[1] and
+    grid[-2] are ``_uniform_grid``'s and no product is subnormal on
+    [grid[1], b]).  The real H of the computed constants, h, is convex with
+    h(0) = 0, so h(c) <= c/b * h(b).  With NumPy's pow within 2**8 ulps,
+    each computed G is within eta/2 * G and each computed H within eta *
+    (G + L) of h, for eta = (beta + 2**10) * 2**-52 (the rounding of c*a
+    raised to beta, pow, four products and the subtraction).  Peak at 0:
+    every grid H past 0 is < 0 where G(b) * (1 + 4*eta) < L(b).  The
+    refinement ends at grid[1] or in [2**-1023, grid[1]], where ``a >=
+    2**-16`` and ``G <= 2**20 * slope * (c*a)**beta`` keep the rounding of
+    G, subnormal steps included, below 2**-30 of the loss: H < 0 by the
+    2**-20 margin asked of H(grid[1]).  Peak at b: every grid H before b
+    is < H(b) where (n - 1) * 8*eta * (G(b) + L(b)) < H(b).  The
+    refinement ends at r <= b * exp(-e), e = min(3e-7, 1/(2*(n - 1))) (at
+    least half the golden section's last width, or of its first where
+    that is below 1e-6), so h(r) <= exp(-e) * h(b), and H(r) < H(b)
+    strictly (a tie would go to r) where (1 + 2/(1 - exp(-e))) * eta *
+    (G(b) + L(b)) < H(b).  That factor is below 6 666 669 at e = 3e-7 and
+    below 4*(n - 1) + 3 otherwise, so ``max(8*(n - 1), 2**23) * eta *
+    (G(b) + L(b)) < H(b)`` proves both the grid's peak and the refinement's
+    loss.  Elsewhere the whole grid is scored and refined."""
     s = scenario
     if not is_int(grid_points) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer >= 3, got {grid_points!r}")
@@ -468,25 +464,16 @@ def optimize_oracle(
         return 0.0, 0.0  # H(0) = 0
     nb, slope, errstate = _objective(s, budget)
     last = grid_points - 1
-    ends = (errstate is _NO_ERRSTATE and 1.0 <= s.beta <= 2.0**20
-            and _convex_ends(s, nb, slope, budget, last))
+    hb = (_convex_ends(s, nb, slope, budget, last)
+          if errstate is _NO_ERRSTATE and 1.0 <= s.beta <= 2.0**20 else None)
+    if hb is not None:
+        return (budget, hb) if hb > 0.0 else (0.0, 0.0)
     with errstate:
-        if ends:  # the peak is 0 or the budget
-            peak, c1, c2, h1, hb = ends
-            lo, top, hi = (c2, (budget, hb), budget) if peak else (0.0, (0.0, 0.0), c1)
-        else:
-            grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
-            values = _h(grid, s, nb, slope)
-            peak = int(values.argmax())
-            if math.isnan(values.item(peak)):  # argmax stops at the first NaN
-                peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
-            c1, c2, h1, hb = grid.item(1), grid.item(-2), values.item(1), values.item(-1)
-            lo, hi = grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, last))
-            top = grid.item(peak), values.item(peak)
-        scored = [(0.0, 0.0), top, (budget, hb)]
-        if (errstate is _NO_ERRSTATE and peak in (0, last)
-                and _refinement_loses(s, nb, slope, peak == 0, c1, c2, h1, hb)):
-            return _best(scored, s)
+        grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
+        values = _h(grid, s, nb, slope)
+        peak = int(values.argmax())
+        if math.isnan(values.item(peak)):  # argmax stops at the first NaN
+            peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
         a, k, beta = s.a, s.k, s.beta
 
         def h_float(c):
@@ -496,15 +483,17 @@ def optimize_oracle(
                 t = math.inf
             return t * a * a * nb - slope * c
 
+        lo, hi = grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, last))
         refined = _golden_max(h_float, lo, hi)
-        scored.append((refined, _h_at(refined, s, nb, slope)))
+        scored = [(0.0, 0.0), (grid.item(peak), values.item(peak)), (budget, values.item(-1)),
+                  (refined, _h_at(refined, s, nb, slope))]
     return _best(sorted(scored), s)
 
 
-def _convex_ends(s: CsrScenario, nb, slope, budget: float, last: int):
-    """``optimize_oracle``'s peak of the grid 0..``last``, 0 or ``last``,
-    with the grid's c1 = grid[1], c2 = grid[-2], H(c1) and H(budget), each
-    bit for bit, where the convex-ends rule proves it; else None."""
+def _convex_ends(s: CsrScenario, nb, slope, budget: float, last: int) -> float | None:
+    """H(budget), bit for bit as ``_h`` has it, where the convex-ends rule
+    proves that ``optimize_oracle``'s grid 0..``last`` first peaks at 0 or
+    at the budget and that the refinement loses; else None."""
     a = s.a
     step = budget / last
     x1 = step * a
@@ -514,24 +503,11 @@ def _convex_ends(s: CsrScenario, nb, slope, budget: float, last: int):
     if last >= 2**50 or min(x1, p1, t1, g1, l1) < 2.0**-1020 or pb >= 2.0**1020:
         return None
     eta = (s.beta + 2.0**10) * 2.0**-52
-    if gb * (1.0 + 4.0 * eta) < lb or last * 8.0 * eta * (gb + lb) < hb:
-        return (0 if hb < 0.0 else last), step, (last - 1) * step, g1 - l1, hb
+    if (gb * (1.0 + 4.0 * eta) < lb and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
+            and g1 - l1 < -2.0**-20 * slope * step
+            or max(8.0 * last, 2.0**23) * eta * (gb + lb) < hb):
+        return hb
     return None
-
-
-def _refinement_loses(s: CsrScenario, nb, slope, at_zero: bool, c1, c2, h1, hb) -> bool:
-    """``optimize_oracle``'s rule for skipping the refinement, H finite and
-    the grid's peak at 0 (``at_zero``) or at the budget, from c1 = grid[1],
-    c2 = grid[-2], H(c1) and H(budget)."""
-    a = s.a
-    x = c2 * a
-    t = x ** s.beta
-    g = t * s.k * a * a  # below every partial product of G but x, t and G
-    return s.beta >= 1.0 and (
-        (at_zero and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
-         and h1 < -2.0**-20 * slope * c1)
-        or (not at_zero and min(x, t, g, g * nb) >= 2.0**-1020
-            and slope * (s.p - s.w) < 2.0**19 * hb))
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:

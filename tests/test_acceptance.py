@@ -34,7 +34,6 @@ from moebius_csr.decision import (
     CsrScenario,
     StationaryKind,
     bracket,
-    classify_stationary,
     comparative_statics,
     hcsr_of_c,
     optimize_constrained,
@@ -73,7 +72,7 @@ def test_criterion_02_regime_classification():
         for i in range(200):
             s = random_scenario(rng, regime="above" if i % 2 else "below")
             c_star = stationary_closed_form(s)
-            kind = classify_stationary(s)
+            kind = optimize_constrained(s).stationary_kind
             curvature = second_difference(s, c_star)
             if s.beta > 1.0:
                 ok = kind is StationaryKind.LOCAL_MIN and curvature > 0.0

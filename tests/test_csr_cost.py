@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import naive_antipodal_sum, naive_ring_sum, naive_rung_sum, naive_sum
-from moebius_csr.csr_cost import (
-    CsrParams,
-    total_hcsr,
-    validate_contribution,
-    validate_cost,
-)
+from moebius_csr.csr_cost import CsrParams, total_hcsr
 from moebius_csr.hamiltonian import HoppingParams, assemble
 from moebius_csr.lattice import build_cylinder, build_moebius
 
@@ -230,22 +225,20 @@ def test_total_past_float_range_names_the_term_without_warnings():
 
 
 def test_validation_errors():
-    good = np.full((2, 2), 0.5)
-    with pytest.raises(ValueError):
-        validate_contribution(np.full((2, 2), 1.0))  # a must stay below 1
-    with pytest.raises(ValueError):
-        validate_contribution(np.full((2, 2), -0.1))
-    with pytest.raises(ValueError):
-        validate_contribution(np.full((3, 2), 0.5))  # odd row count
-    with pytest.raises(ValueError):
-        validate_contribution(np.full((2,), 0.5))
-    with pytest.raises(ValueError):
-        validate_cost(np.full((2, 2), -1.0))
-    with pytest.raises(ValueError):
-        validate_cost(np.full((2, 0), 1.0))
-    with pytest.raises(ValueError):
-        validate_cost(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    good = np.full((2, 2), 0.5)  # valid as contributions and as outlays
     params = CsrParams(t1=1.0, t2=1.0, delta=0.5)
+    for a, c, message in (
+        (np.full((2, 2), 1.0), good, r"^contribution entries must lie in \[0, 1\)$"),
+        (np.full((2, 2), -0.1), good, r"^contribution entries must lie in \[0, 1\)$"),
+        (np.full((3, 2), 0.5), good,
+         r"^contribution matrix needs an even row count >= 2, got 3$"),
+        (np.full((2,), 0.5), good, r"^contribution matrix must be 2-d, got 1-d$"),
+        (good, np.full((2, 2), -1.0), r"^cost entries must be >= 0$"),
+        (good, np.full((2, 0), 1.0), r"^cost matrix needs at least one column$"),
+        (good, np.array([[np.nan, 0.0], [0.0, 0.0]]), r"^cost matrix must be finite$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            total_hcsr(a, c, params)
     with pytest.raises(ValueError):
         total_hcsr(good, np.zeros((4, 2)), params)  # shape mismatch
     for bad in (

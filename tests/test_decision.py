@@ -19,9 +19,7 @@ from moebius_csr.decision import (
     BetaRegime,
     CsrScenario,
     StationaryKind,
-    beta_regime,
     bracket,
-    classify_stationary,
     comparative_statics,
     hcsr_of_c,
     optimize_constrained,
@@ -438,15 +436,15 @@ def test_classification():
     rng = np.random.default_rng(404)
     for _ in range(50):
         s = random_scenario(rng)
-        kind = classify_stationary(s)
+        kind = optimize_constrained(s).stationary_kind
         expected = (
             StationaryKind.LOCAL_MIN if s.beta > 1 else StationaryKind.LOCAL_MAX
         )
         assert kind is expected
     s2 = CsrScenario(N=5, M=2, a=0.9, k=1.0, beta=1.0, delta=0.2, p=3.0, w=1.0)
-    assert classify_stationary(s2) is StationaryKind.FLAT_DERIVATIVE
+    assert optimize_constrained(s2).stationary_kind is StationaryKind.FLAT_DERIVATIVE
     zero = CsrScenario(N=2, M=1, a=0.0, k=1.0, beta=2.0, delta=0.5, p=2.0, w=1.0)
-    assert classify_stationary(zero) is None
+    assert optimize_constrained(zero).stationary_kind is None
 
 
 def test_classification_matches_second_difference(s0, s1):
@@ -455,9 +453,9 @@ def test_classification_matches_second_difference(s0, s1):
 
 
 def test_beta_regime(s0, s1, s2):
-    assert beta_regime(s0) is BetaRegime.BETA_ABOVE_ONE
-    assert beta_regime(s1) is BetaRegime.BETA_BELOW_ONE
-    assert beta_regime(s2) is BetaRegime.BETA_EQUAL_ONE
+    assert optimize_constrained(s0).case is BetaRegime.BETA_ABOVE_ONE
+    assert optimize_constrained(s1).case is BetaRegime.BETA_BELOW_ONE
+    assert optimize_constrained(s2).case is BetaRegime.BETA_EQUAL_ONE
 
 
 # --- constrained optimization --------------------------------------------
@@ -713,7 +711,7 @@ def _errstate_optimizers(s, grid_points=2001):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         outlays = [0.0]
         if budget > 0.0:
-            if classify_stationary(s) is StationaryKind.LOCAL_MAX:
+            if beta < 1.0 and a > 0.0:  # H has an interior local maximum
                 interior = stationary_closed_form(s) or math.ulp(0.0) / a
                 outlays += [interior] if interior < budget else []
             outlays.append(budget)
@@ -837,7 +835,7 @@ _CONVEX_END_DRAWS = st.fixed_dictionaries(dict(
     unit=st.booleans(),
     u=st.floats(-600, 600),
     sign=st.sampled_from([-1.0, 1.0]),
-    near=st.floats(20.0, 60.0),
+    near=st.floats(14.0, 60.0),
     clear=st.floats(1.0, 20.0),
     log2_target=st.floats(-1023.0, -1017.0),
 ))
@@ -846,7 +844,7 @@ _CONVEX_END_DRAWS = st.fixed_dictionaries(dict(
 @st.composite
 def convex_end_scenarios(draw):
     """``(scenario, grid size)`` at one margin of the oracle's convex-ends
-    rule: H(b)/G(b) within 2**-60 to 2**-20 of 0 on either side (elsewhere
+    rule: H(b)/G(b) within 2**-60 to 2**-14 of 0 on either side (elsewhere
     2**-20 to 1/2), beta at 1, 1 + 2**-52, 2**20 and just past it (elsewhere
     up to 2**11), steps at 2**-1022 and one ulp below, or the least partial
     product of G and of the loss at grid[1] near 2**-1020 (b the budget, G
@@ -926,9 +924,18 @@ def convex_end_scenarios(draw):
 @example((CsrScenario(N=3, M=4, a=0.5, k=4.601472348866735e16, beta=1.0533256495858618,
                       delta=0.053159456296778484, p=1.7048013644181218e-306, w=0.0,
                       loyalty_exponent=2), 4))
+# H(b) just below and just above max(8*(n - 1), 2**23) * eta * (G(b) + L(b)),
+# the margin at which the convex-ends rule proves the budget b the answer
+@example((CsrScenario(N=3, M=2, a=0.5, k=3.0738812242201945, beta=1.5, delta=0.5,
+                      p=3.0, w=0.0), 2001))
+@example((CsrScenario(N=3, M=2, a=0.5, k=3.073881224220195, beta=1.5, delta=0.5,
+                      p=3.0, w=0.0), 2001))
+# H(b) < 0 well past the rounding, but a < 2**-16 fails the zero end's rule
+# for the refinement, which reaches outlays near 2**-1022
+@example((CsrScenario(N=3, M=2, a=1e-5, k=1.0, beta=1.5, delta=0.5, p=3.0, w=0.0), 2001))
 def test_oracle_equals_full_refinement_property(case):
-    # the oracle skips its golden section where the refinement provably
-    # loses, and its grid where the convex-ends rule proves the peak; the
+    # the oracle skips its grid and its golden section where the convex-ends
+    # rule proves both the grid's peak and the refinement's loss; the
     # reference always scores the grid and refines
     s, n = case
     _, reference = _errstate_optimizers(s, n)
@@ -970,12 +977,20 @@ def test_oracle_refines_only_where_h_can_peak_inside(monkeypatch):
             assert optimize_oracle(s, 2001)[0] == c_best, change
             assert evaluations == [], change
             assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1])
-    evaluations.clear()
     grids = []
     monkeypatch.setattr("moebius_csr.decision._uniform_grid",
                         lambda *args: grids.append(args) or _uniform_grid(*args))
-    optimize_oracle(replace(base, beta=0.5), 2001)  # concave: the peak may lie inside
-    assert len(evaluations) > 0 and grids == [(3.0, 2001)]
+    for change in (
+        dict(beta=0.5),  # concave: the peak may lie inside
+        dict(a=1e-5),  # convex, but a < 2**-16 fails the zero end's rule
+        # convex, with H(b) just below the budget end's margin
+        dict(k=3.0738812242201945, beta=1.5),
+    ):
+        s = replace(base, **change)
+        evaluations.clear()
+        grids.clear()
+        assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1]), change
+        assert len(evaluations) > 0 and grids == [(3.0, 2001)], change
 
 
 # --- comparative statics ---------------------------------------------------
