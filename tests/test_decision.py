@@ -925,11 +925,22 @@ def convex_end_scenarios(draw):
                       delta=0.053159456296778484, p=1.7048013644181218e-306, w=0.0,
                       loyalty_exponent=2), 4))
 # H(b) just below and just above max(8*(n - 1), 2**23) * eta * (G(b) + L(b)),
-# the margin at which the convex-ends rule proves the budget b the answer
+# the margin at which the convex-ends rule proves the budget b the answer:
+# 2**23 at n = 2001, and 8*(n - 1) at n = 1 500 001, where the golden
+# section's first width is below 1e-6 and it makes no step
 @example((CsrScenario(N=3, M=2, a=0.5, k=3.0738812242201945, beta=1.5, delta=0.5,
                       p=3.0, w=0.0), 2001))
 @example((CsrScenario(N=3, M=2, a=0.5, k=3.073881224220195, beta=1.5, delta=0.5,
                       p=3.0, w=0.0), 2001))
+@example((CsrScenario(N=3, M=2, a=0.5, k=3.073886279764919, beta=1.5, delta=0.5,
+                      p=3.0, w=0.0), 1_500_001))
+@example((CsrScenario(N=3, M=2, a=0.5, k=3.0738862797649196, beta=1.5, delta=0.5,
+                      p=3.0, w=0.0), 1_500_001))
+# H(b) is 33 * eta * (G(b) + L(b)), past the grid's margin 8*(n - 1) at
+# n = 3, yet the refined outlay's rounding beats H(b): the 2**23 floor of the
+# margin is what makes the oracle refine here
+@example((CsrScenario(N=5, M=1, a=0.23545920238452683, k=34.37473787354205, beta=1.0,
+                      delta=0.502998524483212, p=3.5948196059270203, w=0.0), 3))
 # H(b) < 0 well past the rounding, but a < 2**-16 fails the zero end's rule
 # for the refinement, which reaches outlays near 2**-1022
 @example((CsrScenario(N=3, M=2, a=1e-5, k=1.0, beta=1.5, delta=0.5, p=3.0, w=0.0), 2001))
