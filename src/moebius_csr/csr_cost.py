@@ -38,6 +38,7 @@ from ._kernels import (
     sum_ring_products,
     sum_rung_products,
 )
+from .lattice import as_real
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,10 @@ class CsrParams:
 
     def __post_init__(self) -> None:
         for name in ("t1", "t2", "delta"):
-            value = float(getattr(self, name))
+            value = as_real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.t1 < 0.0 or self.t2 < 0.0:
             raise ValueError("t1 and t2 must be >= 0")
         if not (0.0 < self.delta < 1.0):

@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .lattice import is_int
+from .lattice import as_real, is_int
 
 
 class BetaRegime(enum.Enum):
@@ -139,12 +139,7 @@ class CsrScenario:
             if type(value) is not kind:
                 if kind is int and not is_int(value):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
-                if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                    raise ValueError(f"{name} must be a real number, got {value!r}")
-                try:
-                    value = kind(value)
-                except OverflowError:  # an int past float range
-                    value = math.inf
+                value = int(value) if kind is int else as_real(name, value)
                 object.__setattr__(self, name, value)
         _check_domain(self.N, self.M, self.a, self.k, self.beta, self.delta,
                       self.p, self.w, self.loyalty_exponent)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import hermitian_eigvals, tridiagonal_eigvals
-from .lattice import EdgeKind, MoebiusLattice, Topology, is_int
+from .lattice import EdgeKind, MoebiusLattice, Topology, as_real, is_int
 
 # most bytes one block of flux_sweep holds: its levels on the Bloch path,
 # its matrices on the dense path
@@ -83,10 +83,10 @@ def _validated_epsilon(
 ) -> np.ndarray | None:
     """Check ``t1``, ``t2``, ``phi`` and ``epsilon``; return ``epsilon`` as float64."""
     for name in ("t1", "t2"):
-        value = float(getattr(params, name))
+        value = as_real(name, getattr(params, name))
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    _check_flux(float(params.phi))
+    _check_flux(as_real("phi", params.phi))
     if params.epsilon is None:
         return None
     eps = np.asarray(params.epsilon, dtype=np.float64)

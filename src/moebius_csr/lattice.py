@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import io
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,6 +32,18 @@ def is_int(value) -> bool:
     NumPy integer, never a bool."""
     # int listed first skips the slower abstract-class check in the common case
     return not isinstance(value, bool) and isinstance(value, (int, numbers.Integral))
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float (``inf`` for an int past float range); ValueError
+    naming ``name`` unless it is a real number other than a bool."""
+    # float and int listed first skip the slower abstract-class check, as in is_int
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past float range
+        return math.inf
 
 
 class EdgeKind(enum.Enum):
@@ -95,17 +108,18 @@ class MoebiusLattice:
     def n_sites(self) -> int:
         return 2 * self.N * self.M
 
-    def validate_site(self, site: SiteCoord) -> None:
+    def validate_site(self, site: SiteCoord) -> tuple[int, int]:
         n, m = site
         if not (1 <= n <= 2 * self.N and 1 <= m <= self.M):
             raise ValueError(
                 f"site {site!r} outside lattice with 2N={2 * self.N}, M={self.M}"
             )
+        return n, m
 
     def site_index(self, site: SiteCoord) -> int:
         """Row-major 0-based index: wires are blocks of 2N consecutive sites."""
-        self.validate_site(site)
-        return (site.m - 1) * 2 * self.N + (site.n - 1)
+        n, m = self.validate_site(site)
+        return (m - 1) * 2 * self.N + (n - 1)
 
     def to_csv(self) -> str:
         """Edge list as CSV text with header ``kind,n1,m1,n2,m2``."""

@@ -367,25 +367,6 @@ def test_lattice_rejects_bad_size(capsys):
 # --- shared CLI behavior ------------------------------------------------
 
 
-def test_every_subcommand_is_deterministic(capsys, scenario_file, cost_files, tmp_path):
-    a, c = cost_files
-    commands = [
-        ["lattice", "--n", "2", "--m", "2"],
-        ["spectrum", "--n", "2", "--m", "2", "--flux-sweep", "0:2:0.5"],
-        ["cost", "--contributions", a, "--costs", c,
-         "--t1", "1.5", "--t2", "0.8", "--delta", "0.35"],
-        ["optimize", "--scenario", scenario_file, "--csv"],
-        ["statics", "--scenario", scenario_file, "--param", "delta",
-         "--range", "0.1:0.9:0.2"],
-    ]
-    for i, argv in enumerate(commands):
-        paths = [tmp_path / f"run{i}_{j}.txt" for j in range(2)]
-        for path in paths:
-            assert run_cli(capsys, argv + ["--out", str(path)])[0] == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert paths[0].read_bytes().decode("utf-8").endswith("\n")
-
-
 def test_stdout_matches_file_output(capsys, scenario_file, tmp_path):
     out_file = tmp_path / "report.txt"
     argv = ["optimize", "--scenario", scenario_file]

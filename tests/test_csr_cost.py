@@ -250,3 +250,13 @@ def test_validation_errors():
     ):
         with pytest.raises(ValueError):
             CsrParams(**bad)
+    # a weight that is not a real number, or is a bool, is refused by name
+    for name, bad in (("t1", "1"), ("t1", None), ("t1", True), ("delta", "0.5")):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
+            CsrParams(**{**dict(t1=1.0, t2=1.0, delta=0.5), name: bad})
+    # each weight is stored as a float, so the sums run in float64
+    narrow = CsrParams(t1=np.float32(2.1), t2=np.float32(0.7), delta=np.float32(0.3))
+    wide = CsrParams(*(float(np.float32(x)) for x in (2.1, 0.7, 0.3)))
+    assert all(type(getattr(narrow, f)) is float for f in ("t1", "t2", "delta"))
+    assert total_hcsr(good, good, narrow) == total_hcsr(good, good, wide)
+    assert type(total_hcsr(good, good, narrow).total) is float

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import struct
-import sys
 import warnings
 from dataclasses import replace
 
@@ -11,11 +10,23 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_root, dhcsr_expanded, random_scenario, second_difference
+from conftest import (
+    _errstate_closed_form,
+    _errstate_optimizers,
+    _extreme_scenarios,
+    _log_uniform,
+    _replace_statics,
+    bisect_root,
+    convex_end_scenarios,
+    dhcsr_expanded,
+    paper_scenarios,
+    random_scenario,
+    scenarios,
+    second_difference,
+    skip_edge_scenarios,
+)
 from moebius_csr.decision import (
-    LOYALTY_EXPONENTS,
     SCENARIO_KEYS,
-    STATICS_STEP,
     BetaRegime,
     CsrScenario,
     StationaryKind,
@@ -25,11 +36,9 @@ from moebius_csr.decision import (
     optimize_constrained,
     optimize_oracle,
     stationary_closed_form,
-    _best,
     _check_domain,
     _golden_max,
     _h_at,
-    _nan_rank,
     _objective,
     _past_range,
     _uniform_grid,
@@ -192,23 +201,6 @@ def test_hcsr_basics(s1):
     assert hcsr_of_c(0.267363, s1) == pytest.approx(5.3473, abs=2e-4)
 
 
-def scenarios(max_beta, max_p, max_w):
-    """Every valid scenario within the given bounds, edges included:
-    a = 0, beta = 1, p <= w, both loyalty exponents."""
-    return st.builds(
-        CsrScenario,
-        N=st.integers(1, 200),
-        M=st.integers(1, 50),
-        a=st.floats(0.0, 1.0, exclude_max=True),
-        k=st.floats(1e-3, 1e3),
-        beta=st.one_of(st.just(1.0), st.floats(0.05, max_beta)),
-        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        p=st.floats(0.0, max_p),
-        w=st.floats(0.0, max_w),
-        loyalty_exponent=st.sampled_from([2, 4]),
-    )
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     scenarios(max_beta=40.0, max_p=1e12, max_w=1e3),
@@ -349,26 +341,6 @@ def test_stationary_past_float_range_is_inf_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert stationary_closed_form(s) == math.inf
-
-
-def _errstate_closed_form(s):
-    """The root in NumPy scalars under ``np.errstate``, as the package
-    stated it before it moved to Python floats; the reference for them."""
-    if s.beta == 1.0 or s.a == 0.0:
-        return None
-    with np.errstate(over="ignore", divide="ignore"):
-        b = 2.0 * s.M * (2.0 - s.delta) - 2.0 + float(
-            np.float64(s.a) ** (s.loyalty_exponent - 2)
-        )
-        base = np.float64(2.0 * s.M) / (
-            np.float64(s.a) ** (1.0 + s.beta) * b * s.k * s.beta
-        )
-        root = base ** (1.0 / (s.beta - 1.0))
-    return float(root)
-
-
-def _log_uniform(lo_exp, hi_exp):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -572,22 +544,6 @@ def test_oracle_at_zero_contribution_builds_no_grid(monkeypatch):
             assert repr(_errstate_optimizers(s)[1]) == "(0.0, 0.0)"
 
 
-def test_oracle_equivalence_property():
-    rng = np.random.default_rng(808)
-    for _ in range(1000):
-        s = random_scenario(rng)
-        report = optimize_constrained(s)
-        c_ref, h_ref = optimize_oracle(s)
-        budget = max(0.0, s.p - s.w)
-        assert abs(report.constrained_opt - c_ref) <= max(1e-8, budget / 10_000)
-        assert report.objective_at_opt == pytest.approx(
-            h_ref, rel=1e-10, abs=1e-12
-        )
-        # golden section steers in Python floats, but the reported H is
-        # scored with np.power like every other H
-        assert struct.pack("<d", h_ref) == struct.pack("<d", hcsr_of_c(c_ref, s))
-
-
 def _oracle_budgets(rng):
     """Budgets from subnormals, where the grid step underflows to 0, to 1e308."""
     # np.linspace(0, 1.85793e-319, 2001) has 20 points above its stop
@@ -681,90 +637,11 @@ def test_optimizers_skip_a_nan_h_far_below_zero(k, p, c_star, h_star):
             assert value == hcsr_of_c(c, s)
 
 
-def _errstate_optimizers(s, grid_points=2001):
-    """Both optimizers as ``(c, H)`` or their error message, with every H
-    scored under ``np.errstate``, the oracle's grid from ``np.linspace``
-    and its golden section over H in Python floats: the reference for the
-    package, which enters the error state only where the budget says H
-    can leave float range."""
-    budget = max(0.0, s.p - s.w)
-    a, k, beta = s.a, s.k, s.beta
-    nb = s.N * bracket(s)
-    slope = 2.0 * s.N * s.M * s.a
-
-    def h(c):
-        return k * np.power(c * a, beta) * a * a * nb - slope * c
-
-    def h_float(c):
-        try:
-            t = (c * a) ** beta
-        except OverflowError:
-            t = math.inf
-        return k * t * a * a * nb - slope * c
-
-    def best(scored):
-        try:
-            return _best(sorted(scored), s)
-        except ValueError as exc:
-            return str(exc)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        outlays = [0.0]
-        if budget > 0.0:
-            if beta < 1.0 and a > 0.0:  # H has an interior local maximum
-                interior = stationary_closed_form(s) or math.ulp(0.0) / a
-                outlays += [interior] if interior < budget else []
-            outlays.append(budget)
-        constrained = best([(c, float(h(c))) for c in outlays])
-        if budget == 0.0:
-            return constrained, (0.0, 0.0)
-        grid = np.minimum(np.linspace(0.0, budget, grid_points), budget)
-        values = h(grid)
-        ranked = values  # a nan H needs a > 0, where _nan_rank is defined
-        if np.isnan(values).any():
-            ranked = np.where(np.isnan(values), _nan_rank(grid, s), values)
-        peak = int(np.argmax(ranked))
-        bracket_ends = grid[max(peak - 1, 0)], grid[min(peak + 1, grid_points - 1)]
-        refined = _golden_max(h_float, *map(float, bracket_ends))
-        scored = [(float(grid[i]), float(values[i])) for i in (0, peak, grid_points - 1)]
-        return constrained, best(scored + [(refined, float(h(refined)))])
-
-
 # k * (c*a)**beta is finite in Python floats at the budget 2 * 3.25...,
 # but NumPy's pow rounds (c*a)**beta one bit higher, past float max
 _POW_ROUNDS_PAST_MAX = CsrScenario(N=1, M=1, a=0.5, k=1.0793482593468371e307,
                                    beta=2.3848423025793943, delta=0.5,
                                    p=2 * 3.252488904664145, w=0.0)
-
-
-def _extreme_scenarios(rng, count):
-    """Scenarios over the whole domain: N and M to 1e150, a down to
-    subnormals, k to 1e308, beta near 0, near 1 and to 1e300, budgets from
-    subnormal to 1e300; in half of them k puts t, or the gain, at the
-    budget within a factor 64 of float max."""
-    def exp10(lo, hi):
-        return 10.0 ** rng.uniform(lo, hi)
-
-    out = []
-    while len(out) < count:
-        field = dict(
-            N=int(exp10(0, 150)), M=int(exp10(0, 150)),
-            a=float(rng.choice([rng.random(), exp10(-323, 0)])), k=exp10(-300, 308),
-            beta=float(rng.choice([exp10(-300, -3), 1.0 + rng.uniform(-1e-6, 1e-6),
-                                   rng.uniform(0.05, 5.0), exp10(0, 300)])),
-            delta=rng.uniform(0.01, 0.99), p=exp10(-323, 300), w=0.0,
-            loyalty_exponent=int(rng.choice([2, 4])),
-        )
-        try:
-            s = CsrScenario(**field)
-            if rng.random() < 0.5:
-                t = (s.p * s.a) ** s.beta / sys.float_info.max
-                scale = t * s.a * s.a * s.N * bracket(s) if rng.random() < 0.5 else t
-                s = replace(s, k=2.0 ** rng.uniform(-6.0, 6.0) / scale)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            continue
-        out.append(s)
-    return out
 
 
 def test_optimizers_equal_errstate_reference_bitwise_property():
@@ -787,109 +664,6 @@ def test_optimizers_equal_errstate_reference_bitwise_property():
                 oracle = str(exc)
         assert repr(constrained) == repr(ref_constrained), s
         assert repr(oracle) == repr(ref_oracle), s
-
-
-@st.composite
-def skip_edge_scenarios(draw):
-    """Scenarios at the edges of the oracle's skip rule: beta at 1, just
-    above it or in (1, 4), a down to subnormals, budgets from subnormal to
-    1e300, and k up to 1e300 or set so that gain / loss is near 1 at the
-    budget or at the first grid point."""
-    def exp10(lo, hi):
-        return 10.0 ** draw(st.floats(lo, hi))
-
-    beta = draw(st.one_of(st.just(1.0), st.builds(lambda e: 1.0 + 10.0**e, st.floats(-16, -1)),
-                          st.floats(1.0, 4.0)))
-    fields = dict(N=int(exp10(0, 150)), M=int(exp10(0, 150)),
-                  a=draw(st.one_of(st.floats(0.0, 0.999), st.builds(lambda e: 10.0**e,
-                                                                    st.floats(-323, -0.01)))),
-                  k=1.0, beta=beta, delta=draw(st.floats(0.01, 0.99)), p=exp10(-323, 300),
-                  w=0.0, loyalty_exponent=draw(st.sampled_from(LOYALTY_EXPONENTS)))
-    ratio = draw(st.sampled_from([None, "tie", "wide"]))
-    try:
-        s = CsrScenario(**fields)
-        if ratio is None:
-            return replace(s, k=exp10(-300, 300))
-        near = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * exp10(-16, -1)
-        target = near if ratio == "tie" else exp10(-3, 3)
-        c = s.p / draw(st.sampled_from([1.0, 2000.0]))
-        log_k = (math.log(target * 2.0 * s.N * s.M / (s.N * bracket(s))) - math.log(s.a)
-                 - (s.beta - 1.0) * math.log(c) - s.beta * math.log(s.a))
-        return replace(s, k=math.exp(log_k))
-    except (ValueError, OverflowError):
-        reject()
-
-
-# the draws of convex_end_scenarios: each example sits at one margin
-_CONVEX_END_DRAWS = st.fixed_dictionaries(dict(
-    margin=st.sampled_from(["ratio", "beta", "step", "tiny"]),
-    n=st.sampled_from([3, 4, 2001, 10_000]),
-    a=st.one_of(st.floats(0.01, 0.999), st.floats(-300, -2).map(lambda e: 10.0**e)),
-    sizes=st.tuples(st.floats(0, 30), st.floats(0, 30)),
-    delta=st.floats(0.01, 0.99),
-    loyalty_exponent=st.sampled_from(LOYALTY_EXPONENTS),
-    beta=st.one_of(st.floats(1.0, 4.0), st.floats(0.0, 11.0).map(lambda e: 2.0**e)),
-    edge_beta=st.sampled_from([1.0, 1.0 + 2.0**-52, 2.0**20, math.nextafter(2.0**20, math.inf)]),
-    step=st.floats(-300, 300).map(lambda e: 10.0**e),
-    edge_step=st.sampled_from([2.0**-1022, math.nextafter(2.0**-1022, 0.0)]),
-    unit=st.booleans(),
-    u=st.floats(-600, 600),
-    sign=st.sampled_from([-1.0, 1.0]),
-    near=st.floats(14.0, 60.0),
-    clear=st.floats(1.0, 20.0),
-    log2_target=st.floats(-1023.0, -1017.0),
-))
-
-
-@st.composite
-def convex_end_scenarios(draw):
-    """``(scenario, grid size)`` at one margin of the oracle's convex-ends
-    rule: H(b)/G(b) within 2**-60 to 2**-14 of 0 on either side (elsewhere
-    2**-20 to 1/2), beta at 1, 1 + 2**-52, 2**20 and just past it (elsewhere
-    up to 2**11), steps at 2**-1022 and one ulp below, or the least partial
-    product of G and of the loss at grid[1] near 2**-1020 (b the budget, G
-    the gain)."""
-    d = draw(_CONVEX_END_DRAWS)
-    margin, n, a = d["margin"], d["n"], d["a"]
-    beta = d["edge_beta"] if margin == "beta" else d["beta"]
-    step = d["step"]
-    if margin == "step":
-        step = d["edge_step"]
-    elif d["unit"] or beta > 64.0:  # b*a = exp(u/beta), so (b*a)**beta is finite
-        step = math.exp(d["u"] / beta) / a / (n - 1)
-    r = d["sign"] * 2.0 ** -(d["near"] if margin == "ratio" else d["clear"])
-    log_target = math.log(2.0) * d["log2_target"]
-
-    def fit(s, scale):  # k that puts G(b) at L(b) / (1 - r), so that H(b)/G(b) = r
-        log_b, log_a, log_nb = math.log(s.p), math.log(a), math.log(s.N * bracket(s))
-        log_slope = math.log(2.0 * s.N * s.M * a)
-        log_k = log_slope - math.log1p(-r) - (beta - 1.0) * log_b - (beta + 2.0) * log_a - log_nb
-        if not scale:  # a k past float range is clamped, and misses r
-            return replace(s, k=math.exp(min(max(log_k, -700.0), 700.0)))
-        # scale b so that the least of x = c*a, x**beta, t = k*x**beta*a*a,
-        # t*N*B and L at c = grid[1] meets the target, with k refitted (so t
-        # and G scale as b does)
-        x = log_b - math.log(n - 1) + log_a
-        t = beta * x + log_k + 2.0 * log_a
-        least, rate = min((x, 1.0), (beta * x, beta), (t, 1.0), (t + log_nb, 1.0),
-                          (log_slope + x - log_a, 1.0))
-        return replace(s, p=s.p * math.exp(min((log_target - least) / rate, 700.0)))
-
-    try:
-        s = CsrScenario(N=int(10.0 ** d["sizes"][0]), M=int(10.0 ** d["sizes"][1]), a=a, k=1.0,
-                        beta=beta, delta=d["delta"], p=step * (n - 1), w=0.0,
-                        loyalty_exponent=d["loyalty_exponent"])
-        for _ in range(3 if margin == "tiny" else 0):
-            s = fit(s, scale=True)
-        s = fit(s, scale=False)
-        # correct the rounding of the logs once
-        nb, loss = s.N * bracket(s), 2.0 * s.N * s.M * a * s.p
-        with np.errstate(over="ignore"):
-            gain = float(np.power(s.p * a, beta)) * s.k * a * a * nb
-        k = s.k * loss / (1.0 - r) / gain if 0.0 < gain < math.inf else s.k
-        return (replace(s, k=k) if 0.0 < k < math.inf else s), n
-    except (ValueError, OverflowError, ZeroDivisionError):
-        reject()
 
 
 @settings(derandomize=True, max_examples=450, deadline=None)
@@ -1044,42 +818,6 @@ def test_statics_past_float_range_raises():
             comparative_statics(s, param)
 
 
-def _replace_statics(s, param):
-    """``comparative_statics`` as the package stated it when it built each
-    stepped scenario with ``replace``; the reference for the stepped-field
-    version."""
-    if s.beta == 1.0 or s.a == 0.0:
-        raise ValueError("sensitivity needs a stationary point (beta != 1, a > 0)")
-    if param == "M":
-        diff = stationary_closed_form(replace(s, M=s.M + 1)) - stationary_closed_form(s)
-    elif param in ("delta", "beta"):
-        center = float(getattr(s, param))
-        for h in (STATICS_STEP, STATICS_STEP / 2.0):
-            try:
-                s_hi = replace(s, **{param: center + h})
-                s_lo = replace(s, **{param: center - h})
-            except ValueError:
-                continue
-            if param == "beta" and (s_hi.beta - 1.0) * (s_lo.beta - 1.0) <= 0.0:
-                continue
-            c_hi = stationary_closed_form(s_hi)
-            c_lo = stationary_closed_form(s_lo)
-            diff = (c_hi - c_lo) / (2.0 * h)
-            break
-        else:
-            raise ValueError(
-                f"cannot step {param} by {STATICS_STEP} (or half) "
-                "without leaving the domain"
-            )
-    else:
-        raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")
-    if not math.isfinite(diff):
-        raise ValueError(
-            f"sensitivity to {param} is not finite (root past float range)"
-        )
-    return diff
-
-
 def _bits_or_error(f, *args):
     try:
         return struct.pack("<d", f(*args))
@@ -1149,23 +887,6 @@ def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
 
 
 # --- the paper's result over the whole valid domain --------------------------
-
-
-def paper_scenarios(beta):
-    """Scenarios across the domain the paper's claims are read on, with a
-    positive budget ``p - w``."""
-    return st.builds(
-        CsrScenario,
-        N=st.integers(1, 19),
-        M=st.integers(1, 9),
-        a=st.floats(0.05, 0.95),
-        k=_log_uniform(-2.0, 2.0),
-        beta=beta,
-        delta=st.floats(0.05, 0.95),
-        p=st.floats(2.001, 1e3),
-        w=st.floats(0.0, 2.0),
-        loyalty_exponent=st.sampled_from([2, 4]),
-    )
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

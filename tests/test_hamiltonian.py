@@ -305,55 +305,35 @@ def test_bloch_sweep_with_wire_constant_epsilon(build, N, M):
 
 
 def test_clean_sweep_never_assembles(monkeypatch):
-    import moebius_csr.hamiltonian as hamiltonian
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the Bloch path must not assemble")
-
-    grid = np.linspace(0.0, 3.0, 7)
-    for lat in (build_moebius(3, 2), build_cylinder(3, 2)):
-        for eps in (None, np.tile([0.2, -0.4], (6, 1))):
-            params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
-            want = flux_sweep(lat, params, grid, 5)
-            monkeypatch.setattr(hamiltonian, "assemble", forbidden)
-            monkeypatch.setattr(hamiltonian, "_stack", forbidden)
-            assert np.array_equal(flux_sweep(lat, params, grid, 5), want)
-            monkeypatch.undo()
-
-
-def test_bloch_sweeps_never_list_the_edges():
-    # the Bloch path reads only N, M and the topology; the dense path lists
+    # the Bloch path reads only N, M and the topology: it builds no matrix,
+    # calls no dense solver and lists no edges; it bisects the two wire
+    # chains only where the wires' energies differ.  The dense path lists
     # the edges once and keeps them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Bloch path built or solved a dense matrix")
+
+    bisect, chains = hamiltonian.tridiagonal_eigvals, []
     grid = np.linspace(0.0, 3.0, 7)
     for build in (build_moebius, build_cylinder):
-        for eps in (None, np.tile([0.2, -0.4], (6, 1))):  # clean, wire profile
-            lat = build(3, 2)
-            flux_sweep(lat, HoppingParams(t1=1.0, t2=0.5, epsilon=eps), grid, 5)
+        # clean, one energy on every wire, and a wire profile
+        for eps in (None, np.full((6, 2), -0.7), np.tile([0.2, -0.4], (6, 1))):
+            params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
+            lat, want = build(3, 2), flux_sweep(build(3, 2), params, grid, 5)
+            chains.clear()
+            with monkeypatch.context() as patch:
+                for name in ("assemble", "_stack", "hermitian_eigvals"):
+                    patch.setattr(hamiltonian, name, forbidden)
+                patch.setattr(hamiltonian, "tridiagonal_eigvals",
+                              lambda *args: chains.append(args) or bisect(*args))
+                curve = flux_sweep(lat, params, grid, 5)
             assert "edges" not in vars(lat)
+            assert np.array_equal(curve, want)
+            assert np.allclose(curve[:, 1], _lapack_sweep(lat, params, grid, 5), rtol=0.0,
+                               atol=1e-12)
+            assert len(chains) == (eps is not None and eps[0, 0] != eps[0, 1])
         lat = build(3, 2)
         flux_sweep(lat, HoppingParams(t1=1.0, t2=0.5, epsilon=np.eye(6, 2)), grid, 5)
         assert vars(lat)["edges"] == build(3, 2).edges
-
-
-def test_clean_sweep_never_calls_the_solver(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the solver was called")
-
-    grid = np.linspace(0.0, 3.0, 7)
-    for lat in (build_moebius(3, 2), build_cylinder(3, 2)):
-        for eps in (None, np.full((6, 2), -0.7)):
-            params = HoppingParams(t1=1.0, t2=0.5, epsilon=eps)
-            monkeypatch.setattr(hamiltonian, "hermitian_eigvals", forbidden)
-            monkeypatch.setattr(hamiltonian, "tridiagonal_eigvals", forbidden)
-            curve = flux_sweep(lat, params, grid, 5)
-            monkeypatch.undo()
-            want = _lapack_sweep(lat, params, grid, 5)
-            assert np.allclose(curve[:, 1], want, rtol=0.0, atol=1e-12)
-    # energies that differ between wires still bisect the two chains
-    params = HoppingParams(t1=1.0, t2=0.5, epsilon=np.tile([0.2, -0.4], (6, 1)))
-    monkeypatch.setattr(hamiltonian, "tridiagonal_eigvals", forbidden)
-    with pytest.raises(AssertionError, match="solver"):
-        flux_sweep(build_moebius(3, 2), params, grid, 5)
 
 
 @pytest.mark.parametrize("t2", [0.5, -1.3, 2.0])
@@ -436,6 +416,11 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
         HoppingParams(t1=1.0, t2=1.0, phi=np.nan),
         HoppingParams(t1=1.0, t2=1.0, epsilon=np.zeros((3, 2))),
         HoppingParams(t1=1.0, t2=1.0, epsilon=np.full((4, 2), np.nan)),
+        # not real numbers, or bools: "1" used to pass the check, then raise TypeError
+        HoppingParams(t1="1", t2=1.0),
+        HoppingParams(t1=True, t2=1.0),
+        HoppingParams(t1=1.0, t2=None),
+        HoppingParams(t1=1.0, t2=1.0, phi="0.5"),
     ):
         with pytest.raises(ValueError):
             flux_sweep(lat, params, [0.0], 2)
