@@ -39,13 +39,15 @@ untwisted ladder of width ``2M`` with its transverse parity locked to that
 of ``q``), and ``eps - 2*t2*cos(pi*j/(M+1))``, ``j = 1..M``, on a cylinder,
 where ``T_0 = T_1``.  Energies that differ between wires bisect the two
 tridiagonal chains.  A sweep then costs one band fill over the whole
-``(phi, q)`` grid.  An ``epsilon`` that varies along a wire breaks the
-symmetry and takes the dense path.
+``(phi, q)`` grid, with cosines and momenta built once per shape, and checks
+levels and sums for finiteness only past :func:`flux_sweep`'s Gershgorin
+bound.  An ``epsilon`` that varies along a wire takes the dense path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,35 +163,45 @@ def _filled_sums(levels: np.ndarray, n_electrons: int) -> np.ndarray:
     """Sum of the lowest ``n_electrons`` levels of each row of ``levels``.
 
     Raises ValueError if any level is NaN or infinite.  A sum that
-    overflows comes back as inf or NaN, without a warning: :func:`flux_sweep`
-    checks the sums and names the cause.
+    overflows comes back as inf or NaN: :func:`flux_sweep`, which calls this
+    with warnings off, checks the sums and names the cause.
     """
     w = np.sort(levels, axis=1)
     # sorting puts -inf first and inf, then NaN, last
     if w.size and not (np.isfinite(w[:, 0]).all() and np.isfinite(w[:, -1]).all()):
         raise ValueError("eigenvalues must be finite (got NaN, or inf past float range)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return w[:, : int(n_electrons)].sum(axis=1)
+    return w[:, : int(n_electrons)].sum(axis=1)
 
 
-def _chain_levels(lattice: MoebiusLattice, t2: float, wire: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _bloch_tables(N: int, M: int, moebius: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only constants of one shape: the closed form's path-graph cosines,
+    one row per chain, and the momenta ``k = pi*q/N`` with ``q = a*rows + s``
+    at ``[a, s, 0]``, so that each momentum meets its chain ``T_s``."""
+    ends = 2 * M + 1 if moebius else M + 1
+    cos = np.cos(np.pi * np.arange(1, ends) / ends)
+    cos = np.stack([cos[0::2], cos[1::2]]) if moebius else cos[None, :]
+    k = (np.pi * np.arange(2 * N) / N).reshape(-1, len(cos), 1)
+    cos.flags.writeable = k.flags.writeable = False
+    return cos, k
+
+
+def _chain_levels(lattice: MoebiusLattice, t2: float, wire: np.ndarray | None) -> np.ndarray:
     """Levels of ``T_0`` and ``T_1`` (module docstring), one row each.
 
-    ``wire`` holds the on-site energy of each wire.  A cylinder has no
-    twist term, so its single row serves every momentum.
-    Equal wire energies take the closed form; otherwise the chains are
-    bisected as the tridiagonal matrices they are.
+    ``wire`` holds the on-site energy of each wire, or is None for zero on
+    every wire.  A cylinder has no twist term, so its single row serves
+    every momentum.  Equal wire energies take the closed form; otherwise the
+    chains are bisected as the tridiagonal matrices they are.
     """
-    M = lattice.M
     moebius = lattice.topology is Topology.MOEBIUS
-    if np.all(wire == wire[0]):
-        ends = 2 * M + 1 if moebius else M + 1
-        levels = float(wire[0]) - 2.0 * t2 * np.cos(np.pi * np.arange(1, ends) / ends)
-        return np.stack([levels[0::2], levels[1::2]]) if moebius else levels[None, :]
+    if wire is None or np.all(wire == wire[0]):
+        cos = _bloch_tables(lattice.N, lattice.M, moebius)[0]
+        return (0.0 if wire is None else float(wire[0])) - 2.0 * t2 * cos
     twists = (-t2, t2) if moebius else (0.0,)
     diag = np.tile(wire, (len(twists), 1))
     diag[:, -1] += twists
-    return tridiagonal_eigvals(diag, np.full((len(twists), M - 1), t2))
+    return tridiagonal_eigvals(diag, np.full((len(twists), lattice.M - 1), t2))
 
 
 def flux_sweep(
@@ -209,23 +221,32 @@ def flux_sweep(
     chain levels once for the whole sweep, then one band fill over all flux
     points at once.  Otherwise each block of flux points is built as one
     stack of dense ``2NM x 2NM`` Hamiltonians and solved as one stack.
-    Raises ValueError when a flux is not finite or ``2*pi*phi`` leaves
-    float range, and when the band ``-2*t1*cos(...)`` or a ground-state
-    energy overflows float range.
+    The Bloch path builds its cosines and momenta once per shape, and neither
+    path checks levels and sums for finiteness where Gershgorin proves them
+    finite, ``(n_electrons + 1) * (2|t1| + 2|t2| + max|epsilon|) < 2**1021``.
+    Raises ValueError when the grid is empty, has more than one axis or holds
+    other than ints and floats, when a flux is not finite or ``2*pi*phi`` leaves
+    float range, and when the band ``-2*t1*cos(...)`` or an energy overflows.
     """
-    grid = np.atleast_1d(np.asarray(phis, dtype=np.float64))
+    grid = np.asarray(phis)
+    if grid.ndim > 1 or grid.dtype.kind not in "iuf":  # bool, complex, str, object
+        raise ValueError(f"flux grid must be 1-D real numbers, got {grid.dtype}{grid.shape}")
+    grid = np.atleast_1d(grid.astype(np.float64, copy=False))
     if grid.size == 0:
         raise ValueError("flux grid must be nonempty")
     _check_flux(grid.item(np.abs(grid).argmax()))  # argmax finds a nan first
     eps = _validated_epsilon(lattice, params)
     _check_filling(n_electrons, lattice.n_sites)
 
-    # Every level and entry lies within 2|t1| + 2|t2| + max|eps| (Gershgorin), so
-    # only past half of float max can one overflow; _filled_sums then names a
-    # level past float range, and hermitian_eigvals an entry of the dense stack.
+    # Every level and entry lies within 2|t1| + 2|t2| + max|eps| (Gershgorin) up to
+    # a relative rounding error far below 1 (the dense solver's is d*2**-53), and a
+    # sum of n levels within n times that: (n + 1) * bound < 2**1021, 8 times below
+    # float max, proves all finite.  Past it, warnings are off and _filled_sums, the
+    # dense solver and the last check name a level, an entry or a sum past range.
     bound = 2.0 * (abs(float(params.t1)) + abs(float(params.t2)))
     bound += 0.0 if eps is None else float(np.abs(eps).max())
-    with contextlib.nullcontext() if bound < 2.0**1023 else np.errstate(over="ignore"):
+    proven = (int(n_electrons) + 1) * bound < 2.0**1021
+    with contextlib.nullcontext() if proven else np.errstate(over="ignore", invalid="ignore"):
         if eps is None or np.all(eps == eps[0]):
             width = -2.0 * params.t1
             if not math.isfinite(width):
@@ -236,16 +257,13 @@ def flux_sweep(
                 raise ValueError(
                     f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)"
                 )
-            wire = np.zeros(lattice.M) if eps is None else eps[0]
-            chains = _chain_levels(lattice, float(params.t2), wire)
-            q = np.arange(2 * lattice.N)
-            chain_of_q = chains[q % len(chains)]
-            k = np.pi * q / lattice.N
+            chains = _chain_levels(lattice, float(params.t2), None if eps is None else eps[0])
+            k = _bloch_tables(lattice.N, lattice.M, lattice.topology is Topology.MOEBIUS)[1]
             point_bytes = 8 * lattice.n_sites
 
             def levels_at(part):
-                band = width * np.cos(k - 2.0 * np.pi * part[:, None] / lattice.N)
-                return (band[:, :, None] + chain_of_q).reshape(part.size, -1)
+                band = width * np.cos(k - 2.0 * np.pi * part.reshape(-1, 1, 1, 1) / lattice.N)
+                return (band + chains).reshape(part.size, -1)
 
         else:
             point_bytes = 16 * lattice.n_sites**2
@@ -258,8 +276,10 @@ def flux_sweep(
         step = max(1, BLOCK_BYTES // point_bytes)
         for start in range(0, grid.size, step):
             rows = slice(start, start + step)
-            out[rows, 1] = _filled_sums(levels_at(grid[rows]), n_electrons)
-    if not np.all(np.isfinite(out[:, 1])):
+            levels = levels_at(grid[rows])
+            out[rows, 1] = (np.sort(levels, axis=1)[:, : int(n_electrons)].sum(axis=1)
+                            if proven else _filled_sums(levels, n_electrons))
+    if not proven and not np.all(np.isfinite(out[:, 1])):
         raise ValueError(
             f"ground-state energy overflows float range with t1={params.t1!r}, "
             f"t2={params.t2!r}"

@@ -18,7 +18,7 @@ from moebius_csr.hamiltonian import (
     eigenvalues,
     flux_sweep,
 )
-from moebius_csr.lattice import EdgeKind, SiteCoord, build_cylinder, build_moebius
+from moebius_csr.lattice import EdgeKind, SiteCoord, Topology, build_cylinder, build_moebius
 
 
 def test_assemble_shape_and_exact_hermiticity():
@@ -436,6 +436,15 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
             flux_sweep(lat, params, [0.0], bad)
     want = flux_sweep(lat, params, [0.0], 2)
     assert np.array_equal(flux_sweep(lat, params, [0.0], np.int64(2)), want)
+    # a flux grid holds ints or floats along one axis: a 2-D grid failed to
+    # broadcast, bools and strings were swept as numbers, and a complex grid
+    # warned, then dropped its imaginary part
+    for epsilon in (None, np.arange(8.0).reshape(4, 2)):
+        params = HoppingParams(t1=1.0, t2=1.0, epsilon=epsilon)
+        for bad in (np.zeros((2, 3)), [[0.0], [0.5]], [True, False], ["0.1"], [0.5 + 0.5j],
+                    np.zeros(2, dtype=complex)):
+            with pytest.raises(ValueError, match="^flux grid must be 1-D real numbers"):
+                flux_sweep(lat, params, bad, 2)
     # sorting puts NaN last: a NaN level used to be dropped from the sum
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -479,7 +488,8 @@ def test_eigenvalues_rejects_non_finite_input():
 def _per_point_bloch_sweep(lat, params, grid, n_electrons):
     # the Bloch path one flux point at a time: band, levels, then the
     # lowest levels summed by a 1-d NumPy sort and sum
-    chains = hamiltonian._chain_levels(lat, params.t2, np.zeros(lat.M))
+    wire = np.zeros(lat.M) if params.epsilon is None else params.epsilon[0]
+    chains = hamiltonian._chain_levels(lat, params.t2, wire)
     q = np.arange(2 * lat.N)
     k = np.pi * q / lat.N
     energies = []
@@ -497,14 +507,73 @@ def test_grid_fill_equals_per_point_total_energy_bitwise(build, monkeypatch):
         lat = build(N, M)
         params = HoppingParams(t1=float(rng.uniform(0.5, 1.5)), t2=float(rng.uniform(0.25, 1.25)))
         grid = float(rng.uniform(0.25, 2.0)) * N / 40 * np.arange(41)
-        for n_electrons in range(lat.n_sites + 1):
-            want = _per_point_bloch_sweep(lat, params, grid, n_electrons)
-            got = flux_sweep(lat, params, grid, n_electrons)[:, 1]
-            assert np.array_equal(got, want), (N, M, n_electrons)
+        # no on-site energy, and one nonzero energy on every site
+        for epsilon in (None, np.full((2 * N, M), float(rng.uniform(-1.5, 1.5)))):
+            params = replace(params, epsilon=epsilon)
+            for n_electrons in range(lat.n_sites + 1):
+                want = _per_point_bloch_sweep(lat, params, grid, n_electrons)
+                got = flux_sweep(lat, params, grid, n_electrons)[:, 1]
+                assert np.array_equal(got, want), (N, M, epsilon is None, n_electrons)
     # fills of three flux points at a time give the same bits
     monkeypatch.setattr(hamiltonian, "BLOCK_BYTES", 3 * 8 * lat.n_sites)
     want = _per_point_bloch_sweep(lat, params, grid, 20)
     assert np.array_equal(flux_sweep(lat, params, grid, 20)[:, 1], want)
+
+
+def test_finiteness_checks_run_only_past_their_bound(monkeypatch):
+    # (n + 1) * (2|t1| + 2|t2| + max|eps|) < 2**1021 proves every level and
+    # filled sum finite and skips their checks; at and past it they run.  On
+    # both sides the sweep gives the reference's bits, without a warning
+    lat, n, edge = build_moebius(2, 2), 3, 2.0**1017  # t1 = t2 = edge: (n + 1) * bound = 2**1021
+    grid = np.linspace(0.0, 2.0, 9)
+    wires = np.tile([0.0, 1.0], (4, 1))  # a wire profile: the bisected chains
+    checked = []
+    real_check = hamiltonian._filled_sums
+    monkeypatch.setattr(hamiltonian, "_filled_sums",
+                        lambda *args: checked.append(args) or real_check(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        below = math.nextafter(edge, 0.0)
+        for t1, t2, past in ((below, below, False), (edge, edge, True), (-4.0 * edge, edge, True)):
+            for epsilon in (None, np.full((4, 2), 3.0), wires):
+                checked.clear()
+                params = HoppingParams(t1=t1, t2=t2, epsilon=epsilon)
+                curve = flux_sweep(lat, params, grid, n)[:, 1]
+                assert bool(checked) == past, (t1, epsilon)
+                want = (_per_point_bloch_sweep(lat, params, grid, n) if epsilon is None
+                        or epsilon is not wires else _lapack_sweep(lat, params, grid, n))
+                if epsilon is wires:
+                    assert np.allclose(curve, want, rtol=1e-12, atol=0.0)
+                else:
+                    assert np.array_equal(curve, want)
+        # levels within float range whose filled sum is not
+        for epsilon in (None, np.full((4, 2), 1.0)):
+            huge = HoppingParams(t1=0.9 * 2.0**1022, t2=2.0**1021, epsilon=epsilon)
+            with pytest.raises(ValueError, match="^ground-state energy overflows float range"):
+                flux_sweep(lat, huge, grid, lat.n_sites // 2)
+
+
+def test_bloch_tables_are_read_only_and_cached_safely():
+    # per-shape tables are built once and shared by every later sweep: no
+    # caller can write into them, a caller writing into its result changes
+    # no later sweep, and one shape's tables never serve another
+    params, grid = HoppingParams(t1=0.9, t2=0.6), np.linspace(0.0, 3.0, 11)
+    lattices = [build(N, 3) for N in (2, 3) for build in (build_moebius, build_cylinder)]
+    hamiltonian._bloch_tables.cache_clear()
+    first = [flux_sweep(lat, params, grid, 5).tobytes() for lat in lattices]
+    for lat in lattices:
+        moebius = lat.topology is Topology.MOEBIUS
+        for table in hamiltonian._bloch_tables(lat.N, lat.M, moebius):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+        flux_sweep(lat, params, grid, 5)[:] = np.nan
+        hamiltonian._chain_levels(lat, params.t2, None)[:] = np.nan
+    for order in (lattices, lattices[::-1]):
+        assert [flux_sweep(lat, params, grid, 5).tobytes() for lat in lattices] == first
+        hamiltonian._bloch_tables.cache_clear()
+        got = {lat: flux_sweep(lat, params, grid, 5).tobytes() for lat in order}
+        assert [got[lat] for lat in lattices] == first
 
 
 def test_eigenvalues_of_huge_entries_raise_no_overflow():
