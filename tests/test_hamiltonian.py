@@ -523,29 +523,29 @@ def test_grid_fill_equals_per_point_total_energy_bitwise(build, monkeypatch):
 def test_finiteness_checks_run_only_past_their_bound(monkeypatch):
     # (n + 1) * (2|t1| + 2|t2| + max|eps|) < 2**1021 proves every level and
     # filled sum finite and skips their checks; at and past it they run.  On
-    # both sides the sweep gives the reference's bits, without a warning
+    # both sides a Bloch sweep gives the reference's bits, and no call warns
     lat, n, edge = build_moebius(2, 2), 3, 2.0**1017  # t1 = t2 = edge: (n + 1) * bound = 2**1021
     grid = np.linspace(0.0, 2.0, 9)
-    wires = np.tile([0.0, 1.0], (4, 1))  # a wire profile: the bisected chains
     checked = []
     real_check = hamiltonian._filled_sums
     monkeypatch.setattr(hamiltonian, "_filled_sums",
                         lambda *args: checked.append(args) or real_check(*args))
+    # none, one energy, a wire profile (bisected chains), and one varying along a wire (dense)
+    epsilons = (None, np.full((4, 2), 3.0), np.tile([0.0, 1.0], (4, 1)), np.eye(4, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         below = math.nextafter(edge, 0.0)
         for t1, t2, past in ((below, below, False), (edge, edge, True), (-4.0 * edge, edge, True)):
-            for epsilon in (None, np.full((4, 2), 3.0), wires):
+            for epsilon in epsilons:
                 checked.clear()
                 params = HoppingParams(t1=t1, t2=t2, epsilon=epsilon)
                 curve = flux_sweep(lat, params, grid, n)[:, 1]
                 assert bool(checked) == past, (t1, epsilon)
-                want = (_per_point_bloch_sweep(lat, params, grid, n) if epsilon is None
-                        or epsilon is not wires else _lapack_sweep(lat, params, grid, n))
-                if epsilon is wires:
-                    assert np.allclose(curve, want, rtol=1e-12, atol=0.0)
+                if epsilon is epsilons[-1]:
+                    want = _lapack_sweep(lat, params, grid, n)
+                    assert np.allclose(curve, want, rtol=0.0, atol=1e-12 * abs(t1))
                 else:
-                    assert np.array_equal(curve, want)
+                    assert np.array_equal(curve, _per_point_bloch_sweep(lat, params, grid, n))
         # levels within float range whose filled sum is not
         for epsilon in (None, np.full((4, 2), 1.0)):
             huge = HoppingParams(t1=0.9 * 2.0**1022, t2=2.0**1021, epsilon=epsilon)
