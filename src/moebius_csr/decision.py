@@ -7,9 +7,9 @@ objective H(c) (``_objective``), which the firm maximizes over its budget
 H and its bracket (``hcsr_of_c``, ``bracket``), the stationary point
 (``stationary_closed_form``), the optimizer over the budget, which also
 reports the regime of beta and the stationary point's kind
-(``optimize_constrained``), a grid oracle that does without the closed
-form (``optimize_oracle``) and the sensitivity of the stationary point
-(``comparative_statics``).
+(``optimize_constrained``), a grid oracle that uses the closed form
+only as a checked hint (``optimize_oracle``) and the sensitivity of the
+stationary point (``comparative_statics``).
 """
 
 from __future__ import annotations
@@ -384,9 +384,10 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
         interior = (min(stationary or math.ulp(0.0) / s.a, budget)
                     if kind is StationaryKind.LOCAL_MAX else budget)
         nb, slope, errstate = _objective(s, budget)
-        with errstate:
-            scored += [(c, _h_at(c, s, nb, slope))
-                       for c in ((interior, budget) if interior < budget else (budget,))]
+        with errstate:  # one np.power call; the budget twice where it is the interior
+            power, power_b = np.power((interior * s.a, budget * s.a), s.beta).tolist()
+            scored += [(interior, power * s.k * s.a * s.a * nb - slope * interior),
+                       (budget, power_b * s.k * s.a * s.a * nb - slope * budget)]
     best_c, best_h = _best(scored, s)
     return DecisionReport(stationary, kind, best_c, best_h, case,
                           s.a == 0.0 or s.p - s.w - best_c >= 0.0)
@@ -418,7 +419,7 @@ def _uniform_grid(stop: float, n: int) -> np.ndarray:
 def optimize_oracle(
     scenario: CsrScenario, grid_points: int = 10_000
 ) -> tuple[float, float]:
-    """Grid-plus-refinement maximizer of H, independent of the closed form:
+    """Grid-plus-refinement maximizer of H, the closed form a checked hint:
     ``_best`` of 0, the peak of a uniform grid over the budget, its
     refinement by ``_golden_max`` and the budget, as ``(c, H(c))``.  Only
     the refinement is scored afresh; the others keep their grid scores.
@@ -450,7 +451,8 @@ def optimize_oracle(
     (G(b) + L(b)) < H(b).  That factor is below 6 666 669 at e = 3e-7 and
     below 4*(n - 1) + 3 otherwise, so ``max(8*(n - 1), 2**23) * eta *
     (G(b) + L(b)) < H(b)`` proves both the grid's peak and the refinement's
-    loss.  Elsewhere the whole grid is scored and refined."""
+    loss.  For beta < 1 six grid points may stand in (``_concave_window``).
+    Elsewhere the whole grid is scored and refined."""
     s = scenario
     if not is_int(grid_points) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer >= 3, got {grid_points!r}")
@@ -459,16 +461,21 @@ def optimize_oracle(
         return 0.0, 0.0  # H(0) = 0
     nb, slope, errstate = _objective(s, budget)
     last = grid_points - 1
-    hb = (_convex_ends(s, nb, slope, budget, last)
-          if errstate is _NO_ERRSTATE and 1.0 <= s.beta <= 2.0**20 else None)
+    finite = errstate is _NO_ERRSTATE
+    hb = _convex_ends(s, nb, slope, budget, last) if finite and 1.0 <= s.beta <= 2.0**20 else None
     if hb is not None:
         return (budget, hb) if hb > 0.0 else (0.0, 0.0)
+    scan = _concave_window(s, nb, slope, budget, last) if finite and s.beta < 1.0 else None
     with errstate:
-        grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
-        values = _h(grid, s, nb, slope)
-        peak = int(values.argmax())
-        if math.isnan(values.item(peak)):  # argmax stops at the first NaN
-            peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
+        if scan is None:
+            grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
+            values = _h(grid, s, nb, slope)
+            peak = int(values.argmax())
+            if math.isnan(values.item(peak)):  # argmax stops at the first NaN
+                peak = int(np.where(np.isnan(values), _nan_rank(grid, s), values).argmax())
+            scan = (grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, last)),
+                    grid.item(peak), values.item(peak), values.item(-1))
+        lo, hi, c_peak, h_peak, h_budget = scan
         a, k, beta = s.a, s.k, s.beta
 
         def h_float(c):
@@ -478,9 +485,8 @@ def optimize_oracle(
                 t = math.inf
             return t * a * a * nb - slope * c
 
-        lo, hi = grid.item(max(peak - 1, 0)), grid.item(min(peak + 1, last))
         refined = _golden_max(h_float, lo, hi)
-        scored = [(0.0, 0.0), (grid.item(peak), values.item(peak)), (budget, values.item(-1)),
+        scored = [(0.0, 0.0), (c_peak, h_peak), (budget, h_budget),
                   (refined, _h_at(refined, s, nb, slope))]
     return _best(sorted(scored), s)
 
@@ -503,6 +509,36 @@ def _convex_ends(s: CsrScenario, nb, slope, budget: float, last: int) -> float |
             or max(8.0 * last, 2.0**23) * eta * (gb + lb) < hb):
         return hb
     return None
+
+
+def _concave_window(s: CsrScenario, nb, slope, budget: float, last: int):
+    """``optimize_oracle``'s ``(lo, hi, c, H(c), H(b))`` (bracket, grid peak,
+    H at the budget b) bit for bit from grid[j - 2..j + 3] (i * step, b at
+    n - 1), j = floor(c*/b * (n - 1)) for the root c* < b, else n - 1 (a
+    hint only), where they provably hold the grid's first peak; else None.
+    In the convex-ends rule's normal range each H on [0, b] is within E =
+    eta * (G(b) + L(b)) of h (G, L rise with c), the real H of the computed
+    constants, concave for beta < 1.  So where H rises by over 2E from the
+    window's first point grid[f], f > 0, every i < f has H(grid[i]) <=
+    h(grid[i]) + E < h(grid[f]) + E <= H(grid[f]) + 2E < H(grid[f + 1]);
+    likewise past its end unless that is b (eta's slack covers rounding)."""
+    a, k, step = s.a, s.k, budget / last
+    root = _root(s.M, a, k, s.beta, s.delta, s.loyalty_exponent)
+    j = min(max(int(root / budget * last), 0), last) if root < budget else last
+    first, end = max(j - 2, 0), min(j + 3, last)
+    outlays = [i * step if i < last else budget for i in range(first, end + 1)]
+    p1, pb, *powers = np.power([step * a, budget * a, *[c * a for c in outlays]], s.beta).tolist()
+    t1, gb, lb = p1 * k * a * a, pb * k * a * a * nb, slope * budget
+    window = [p * k * a * a * nb - slope * c for c, p in zip(outlays, powers)]
+    margin = 2.0 * (s.beta + 2.0**10) * 2.0**-52 * (gb + lb)  # 2E
+    if (last >= 2**50 or pb >= 2.0**1020
+            or min(step * a, p1, t1, t1 * nb, slope * step) < 2.0**-1020
+            or first > 0 and window[1] - window[0] <= margin
+            or end < last and window[-2] - window[-1] <= margin):
+        return None
+    m = window.index(max(window))
+    return (outlays[max(m - 1, 0)], outlays[min(m + 1, len(window) - 1)],
+            outlays[m], window[m], gb - lb)
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:

@@ -229,6 +229,10 @@ def flux_sweep(
     float range, and when the band ``-2*t1*cos(...)`` or an energy overflows.
     """
     grid = np.asarray(phis)
+    if (not isinstance(phis, np.ndarray) or grid.dtype.kind == "O") and grid.ndim:
+        # a list upcasts a bool, or an int past int64, before the dtype test sees it
+        grid = np.array([as_real("flux grid must be 1-D real numbers: each flux", phi)
+                         for phi in phis])
     if grid.ndim > 1 or grid.dtype.kind not in "iuf":  # bool, complex, str, object
         raise ValueError(f"flux grid must be 1-D real numbers, got {grid.dtype}{grid.shape}")
     grid = np.atleast_1d(grid.astype(np.float64, copy=False))

@@ -26,6 +26,7 @@ from conftest import (
     skip_edge_scenarios,
 )
 from moebius_csr.decision import (
+    LOYALTY_EXPONENTS,
     SCENARIO_KEYS,
     BetaRegime,
     CsrScenario,
@@ -37,6 +38,7 @@ from moebius_csr.decision import (
     optimize_oracle,
     stationary_closed_form,
     _check_domain,
+    _concave_window,
     _golden_max,
     _h_at,
     _objective,
@@ -765,17 +767,108 @@ def test_oracle_refines_only_where_h_can_peak_inside(monkeypatch):
     grids = []
     monkeypatch.setattr("moebius_csr.decision._uniform_grid",
                         lambda *args: grids.append(args) or _uniform_grid(*args))
-    for change in (
-        dict(beta=0.5),  # concave: the peak may lie inside
-        dict(a=1e-5),  # convex, but a < 2**-16 fails the zero end's rule
+    for change, grid in (
+        # concave: the peak lies inside, and the window around the root proves
+        # where, so it is refined without the grid
+        (dict(beta=0.5), []),
+        (dict(a=1e-5), [(3.0, 2001)]),  # convex, but a < 2**-16 fails the zero end's rule
         # convex, with H(b) just below the budget end's margin
-        dict(k=3.0738812242201945, beta=1.5),
+        (dict(k=3.0738812242201945, beta=1.5), [(3.0, 2001)]),
     ):
         s = replace(base, **change)
         evaluations.clear()
         grids.clear()
         assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1]), change
-        assert len(evaluations) > 0 and grids == [(3.0, 2001)], change
+        assert len(evaluations) > 0 and grids == grid, change
+
+
+def test_oracle_window_takes_the_root_as_a_hint_only(monkeypatch):
+    # a root at 0, inf, nan or a few grid steps off places the window away
+    # from the grid's peak: the certificate fails and the whole grid is scored
+    s = CsrScenario(N=3, M=2, a=0.5, k=1.0, beta=0.5, delta=0.5, p=3.0, w=0.0)
+    reference = repr(_errstate_optimizers(s)[1])
+    root, step = stationary_closed_form(s), 3.0 / 2000
+    grids = []
+    monkeypatch.setattr("moebius_csr.decision._uniform_grid",
+                        lambda *args: grids.append(args) or _uniform_grid(*args))
+    assert repr(optimize_oracle(s, 2001)) == reference and grids == []
+    for wrong in (0.0, math.inf, math.nan, 1.0, root - 3.0 * step, root + 4.0 * step):
+        grids.clear()
+        monkeypatch.setattr("moebius_csr.decision._root", lambda *args: wrong)
+        assert repr(optimize_oracle(s, 2001)) == reference, wrong
+        assert grids == [(3.0, 2001)], wrong
+
+
+def _cancelling_scenarios(rng, count):
+    """Concave scenarios with beta = 1 - eps, eps from 1e-16 to 1e-9, and k
+    fitted to put the root inside the budget: there H is eps of the gain,
+    so the gain and the loss cancel to within the rounding of H."""
+    out = []
+    while len(out) < count:
+        beta = 1.0 - 10.0 ** rng.uniform(-16.0, -9.0)
+        M, a, delta = int(rng.integers(1, 5)), rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.95)
+        lam = int(rng.choice(LOYALTY_EXPONENTS))
+        p = rng.uniform(0.2, 4.2)
+        root = p * rng.uniform(0.05, 0.95)
+        b = 2.0 * M * (2.0 - delta) - 2.0 + a ** (lam - 2)
+        k = 2.0 * M / (beta * a ** (1.0 + beta) * b * root ** (beta - 1.0))
+        out.append(CsrScenario(N=int(rng.integers(1, 7)), M=M, a=a, k=k, beta=beta,
+                               delta=delta, p=p, w=0.0, loyalty_exponent=lam))
+    return out
+
+
+def test_oracle_window_equals_full_grid_on_domain_draws(monkeypatch):
+    # the concave oracle scores a window where its certificate holds and the
+    # grid elsewhere; on concave draws over the whole domain, and on draws
+    # where the gain and the loss cancel (there the certificate's 2E margin
+    # decides: with a margin of 0 the window is taken on rounding noise),
+    # both paths must run and equal the reference that scores the grid
+    certified = []
+    monkeypatch.setattr("moebius_csr.decision._concave_window",
+                        lambda *args: certified.append(_concave_window(*args)) or certified[-1])
+    extreme = [s for s in _extreme_scenarios(np.random.default_rng(4243), 2000)
+               if s.beta < 1.0 and s.a > 0.0]
+    for draws in (extreme, _cancelling_scenarios(np.random.default_rng(4244), 400)):
+        certified.clear()
+        for s in draws:
+            for n in (3, 17, 2001):
+                _, reference = _errstate_optimizers(s, n)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        oracle = optimize_oracle(s, n)
+                    except ValueError as exc:
+                        oracle = str(exc)
+                assert repr(oracle) == repr(reference), (s, n)
+        assert None in certified and any(w is not None for w in certified)
+
+
+def test_oracle_refines_below_the_convex_ends_floor(monkeypatch):
+    # at n below 2**20 the budget end's margin max(8*(n - 1), 2**23) * eta *
+    # (G(b) + L(b)) is its floor: with H(b) = m * eta * (G(b) + L(b)), k
+    # fitted, the oracle must refine wherever m < 2**23 and skip above it
+    evaluations = []
+
+    def counting_golden_max(f, lo, hi):
+        return _golden_max(lambda c: evaluations.append(c) or f(c), lo, hi)
+
+    monkeypatch.setattr("moebius_csr.decision._golden_max", counting_golden_max)
+    rng = np.random.default_rng(2323)
+    for _ in range(300):
+        n, log2_m = int(rng.choice([3, 4, 17, 2001])), rng.uniform(0.0, 26.0)
+        if abs(log2_m - 23.0) < 0.01:  # the @examples pin the margin itself
+            continue
+        beta = float(rng.choice([1.0, rng.uniform(1.0, 4.0)]))
+        s = CsrScenario(N=int(rng.integers(1, 7)), M=int(rng.integers(1, 5)),
+                        a=rng.uniform(0.1, 0.9), k=1.0, beta=beta, delta=rng.uniform(0.05, 0.95),
+                        p=rng.uniform(0.5, 5.0), w=0.0,
+                        loyalty_exponent=int(rng.choice(LOYALTY_EXPONENTS)))
+        m_eta = 2.0**log2_m * (beta + 2.0**10) * 2.0**-52
+        gain = s.k * (s.p * s.a) ** beta * s.a * s.a * s.N * bracket(s)
+        s = replace(s, k=2.0 * s.N * s.M * s.a * s.p / gain * (1.0 + m_eta) / (1.0 - m_eta))
+        evaluations.clear()
+        assert repr(optimize_oracle(s, n)) == repr(_errstate_optimizers(s, n)[1]), (s, n)
+        assert bool(evaluations) == (log2_m < 23.0), (s, n, log2_m)
 
 
 # --- comparative statics ---------------------------------------------------

@@ -438,13 +438,20 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
     assert np.array_equal(flux_sweep(lat, params, [0.0], np.int64(2)), want)
     # a flux grid holds ints or floats along one axis: a 2-D grid failed to
     # broadcast, bools and strings were swept as numbers, and a complex grid
-    # warned, then dropped its imaginary part
+    # warned, then dropped its imaginary part; a bool among floats in a list
+    # was upcast and swept as 1.0
     for epsilon in (None, np.arange(8.0).reshape(4, 2)):
         params = HoppingParams(t1=1.0, t2=1.0, epsilon=epsilon)
         for bad in (np.zeros((2, 3)), [[0.0], [0.5]], [True, False], ["0.1"], [0.5 + 0.5j],
-                    np.zeros(2, dtype=complex)):
+                    np.zeros(2, dtype=complex), [0.5, True], (0.0, np.bool_(False)),
+                    np.array([0.5, True], dtype=object)):
             with pytest.raises(ValueError, match="^flux grid must be 1-D real numbers"):
                 flux_sweep(lat, params, bad, 2)
+        # an int past int64 is a real number, as as_real has it, and was refused
+        # as an object grid
+        want = flux_sweep(lat, params, np.array([0.5, 2.0**70]), 2)
+        for good in ([0.5, 2**70], (0.5, 2**70), np.array([0.5, 2**70], dtype=object)):
+            assert flux_sweep(lat, params, good, 2).tobytes() == want.tobytes()
     # sorting puts NaN last: a NaN level used to be dropped from the sum
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
