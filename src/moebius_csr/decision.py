@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
@@ -213,16 +212,16 @@ def _objective(s: CsrScenario, budget: float):
     ``inf``, never the ``inf * 0`` of the expanded ``c**beta * a**(2 +
     beta)``.  Every H that is reported or compared takes ``(c*a)**beta``
     from ``np.power`` (libm's ``pow`` differs in the last bit on some
-    inputs): ``_h`` on an array, in place, and ``_h_at`` on one outlay by
-    the same operations in order in Python floats, which round as float64
-    does and overflow to ``inf`` without a warning, so the two agree bit
-    for bit.  The golden section steers by H in Python floats, ``inf`` past
-    float range.  ``np.power`` runs inside ``errstate``.  For ``beta > 0``
-    both terms of H rise with c, so where ``t``, the gain and the loss at
-    the budget lie below 2**1020 (a margin for the last bits of ``pow``)
-    no H on ``[0, budget]`` leaves float range, and ``errstate`` is a
-    no-op; elsewhere it is ``np.errstate``, silencing overflow, and H is
-    ``inf - inf = nan`` where both terms overflow (``_nan_rank``).
+    inputs): ``_h`` on an array and ``_h_at`` on one outlay by the same
+    operations in order in Python floats, which round as float64 does and
+    overflow to ``inf`` without a warning, so the two agree bit for bit.
+    The golden section steers by H in Python floats, ``inf`` past float
+    range.  ``np.power`` runs inside ``errstate``.  For ``beta > 0`` both
+    terms of H rise with c, so where ``t``, the gain and the loss at the
+    budget lie below 2**1020 (a margin for the last bits of ``pow``) no H
+    on ``[0, budget]`` leaves float range, and ``errstate`` is a no-op;
+    elsewhere it is ``np.errstate``, silencing overflow, and H is ``inf -
+    inf = nan`` where both terms overflow (``_nan_rank``).
     """
     a = s.a
     nb = s.N * _bracket(s.M, a, s.delta, s.loyalty_exponent)
@@ -237,11 +236,7 @@ def _objective(s: CsrScenario, budget: float):
 
 
 def _h(c, s: CsrScenario, nb, slope):
-    gain = np.power(c * s.a, s.beta)
-    for factor in (s.k, s.a, s.a, nb):  # in place; t * k == k * t
-        gain *= factor
-    gain -= slope * c
-    return gain
+    return np.power(c * s.a, s.beta) * s.k * s.a * s.a * nb - slope * c
 
 
 def _h_at(c, s: CsrScenario, nb, slope) -> float:
@@ -393,29 +388,6 @@ def optimize_constrained(scenario: CsrScenario) -> DecisionReport:
                           s.a == 0.0 or s.p - s.w - best_c >= 0.0)
 
 
-@functools.lru_cache(maxsize=1)  # holds one array, of the last grid size
-def _counts(n: int) -> np.ndarray:
-    counts = np.arange(n, dtype=np.float64)
-    counts.flags.writeable = False
-    return counts
-
-
-def _uniform_grid(stop: float, n: int) -> np.ndarray:
-    """``np.linspace(0.0, stop, n)`` bit for bit, for ``stop >= 0`` and
-    ``n >= 2``, clamped to ``stop``, without the per-call overhead of it or
-    of ``np.arange``: a product with the cached ``_counts`` costs less."""
-    step = stop / (n - 1)
-    if step:
-        grid = _counts(n) * step
-        if step < 2.0**-1022:  # a subnormal step keeps few bits and overshoots
-            np.minimum(grid, stop, out=grid)
-    else:  # the step underflowed to 0; np.linspace then scales in two
-        grid = _counts(n) / (n - 1)
-        grid *= stop
-    grid[-1] = stop
-    return grid
-
-
 def optimize_oracle(
     scenario: CsrScenario, grid_points: int = 10_000
 ) -> tuple[float, float]:
@@ -425,34 +397,9 @@ def optimize_oracle(
     the refinement is scored afresh; the others keep their grid scores.
 
     At ``a == 0`` every H is ``0.0 - 0.0`` (N*B <= 4*N*M is finite) and
-    c = 0 wins: no grid is built.
-
-    Where H is convex its two ends prove the answer, and neither the grid
-    nor the refinement is computed (``_convex_ends``): for ``1 <= beta <=
-    2**20`` with H finite, n = ``grid_points`` below 2**50 and every
-    partial product of G (the gain) and of the loss L at least 2**-1020 at
-    grid[1] (so the step b/(n - 1) is normal, b the budget, grid[1] and
-    grid[-2] are ``_uniform_grid``'s and no product is subnormal on
-    [grid[1], b]).  The real H of the computed constants, h, is convex with
-    h(0) = 0, so h(c) <= c/b * h(b).  With NumPy's pow within 2**8 ulps,
-    each computed G is within eta/2 * G and each computed H within eta *
-    (G + L) of h, for eta = (beta + 2**10) * 2**-52 (the rounding of c*a
-    raised to beta, pow, four products and the subtraction).  Peak at 0:
-    every grid H past 0 is < 0 where G(b) * (1 + 4*eta) < L(b).  The
-    refinement ends at grid[1] or in [2**-1023, grid[1]], where ``a >=
-    2**-16`` and ``G <= 2**20 * slope * (c*a)**beta`` keep the rounding of
-    G, subnormal steps included, below 2**-30 of the loss: H < 0 by the
-    2**-20 margin asked of H(grid[1]).  Peak at b: every grid H before b
-    is < H(b) where (n - 1) * 8*eta * (G(b) + L(b)) < H(b).  The
-    refinement ends at r <= b * exp(-e), e = min(3e-7, 1/(2*(n - 1))) (at
-    least half the golden section's last width, or of its first where
-    that is below 1e-6), so h(r) <= exp(-e) * h(b), and H(r) < H(b)
-    strictly (a tie would go to r) where (1 + 2/(1 - exp(-e))) * eta *
-    (G(b) + L(b)) < H(b).  That factor is below 6 666 669 at e = 3e-7 and
-    below 4*(n - 1) + 3 otherwise, so ``max(8*(n - 1), 2**23) * eta *
-    (G(b) + L(b)) < H(b)`` proves both the grid's peak and the refinement's
-    loss.  For beta < 1 six grid points may stand in (``_concave_window``).
-    Elsewhere the whole grid is scored and refined."""
+    c = 0 wins without a grid.  Where H stays finite, ``_certified`` may
+    prove the answer from the two budget ends or the grid's peak from six
+    of its points; elsewhere the whole grid is scored and refined."""
     s = scenario
     if not is_int(grid_points) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer >= 3, got {grid_points!r}")
@@ -461,14 +408,13 @@ def optimize_oracle(
         return 0.0, 0.0  # H(0) = 0
     nb, slope, errstate = _objective(s, budget)
     last = grid_points - 1
-    finite = errstate is _NO_ERRSTATE
-    hb = _convex_ends(s, nb, slope, budget, last) if finite and 1.0 <= s.beta <= 2.0**20 else None
-    if hb is not None:
-        return (budget, hb) if hb > 0.0 else (0.0, 0.0)
-    scan = _concave_window(s, nb, slope, budget, last) if finite and s.beta < 1.0 else None
+    scan = _certified(s, nb, slope, budget, last) if errstate is _NO_ERRSTATE else None
+    if scan is not None and len(scan) == 2:
+        return scan
     with errstate:
         if scan is None:
-            grid = _uniform_grid(budget, grid_points)  # pins 0 and the budget exactly
+            # np.linspace pins 0 and the budget, and overshoots only at a subnormal step
+            grid = np.minimum(np.linspace(0.0, budget, grid_points), budget)
             values = _h(grid, s, nb, slope)
             peak = int(values.argmax())
             if math.isnan(values.item(peak)):  # argmax stops at the first NaN
@@ -491,54 +437,78 @@ def optimize_oracle(
     return _best(sorted(scored), s)
 
 
-def _convex_ends(s: CsrScenario, nb, slope, budget: float, last: int) -> float | None:
-    """H(budget), bit for bit as ``_h`` has it, where the convex-ends rule
-    proves that ``optimize_oracle``'s grid 0..``last`` first peaks at 0 or
-    at the budget and that the refinement loses; else None."""
-    a = s.a
-    step = budget / last
-    x1 = step * a
-    p1, pb = np.power((x1, budget * a), s.beta).tolist()  # as _h has them
-    t1, gb, lb = p1 * s.k * a * a, pb * s.k * a * a * nb, slope * budget
-    g1, l1, hb = t1 * nb, slope * step, gb - lb
-    if last >= 2**50 or min(x1, p1, t1, g1, l1) < 2.0**-1020 or pb >= 2.0**1020:
+def _certified(s: CsrScenario, nb, slope, budget: float, last: int):
+    """``optimize_oracle``'s answer ``(c, H(c))`` for 1 <= beta <= 2**20,
+    or its scan ``(lo, hi, c, H(c), H(b))`` (the grid's peak, its bracket
+    and H at the budget b) for beta < 1, bit for bit as its grid 0..``last``
+    gives them, where a certificate proves it from a few points; else None.
+
+    Normal range: n = ``last + 1`` below 2**50, ``(b*a)**beta`` below
+    2**1020 and every partial product of G (the gain) and of the loss L at
+    least 2**-1020 at grid[1].  Then the step b/(n - 1) is normal, grid[i]
+    is i * step for i < n - 1, no product is subnormal on [grid[1], b] and
+    G and L rise with c.  With NumPy's pow within 2**8 ulps, each computed
+    G is within eta/2 * G and each H within eta * (G + L) of h, the real H
+    of the computed constants, for eta = (beta + 2**10) * 2**-52 (rounding
+    c*a, pow, four products and the subtraction): every H on [0, b] is
+    within E = eta * (G(b) + L(b)) of h.
+
+    Convex ends, beta >= 1: h is convex with h(0) = 0, so h(c) <= c/b *
+    h(b).  Peak at 0: every grid H past 0 is < 0 where G(b) * (1 + 4*eta)
+    < L(b).  The refinement ends at grid[1] or in [2**-1023, grid[1]],
+    where ``a >= 2**-16`` and ``G <= 2**20 * slope * (c*a)**beta`` keep the
+    rounding of G, subnormal steps included, below 2**-30 of the loss:
+    H < 0 by the 2**-20 margin asked of H(grid[1]).  Peak at b: every grid
+    H before b is < H(b) where (n - 1) * 8*eta * (G(b) + L(b)) < H(b).  The
+    refinement ends at r <= b * exp(-e), e = min(3e-7, 1/(2*(n - 1))) (at
+    least half the golden section's last width, or of its first where that
+    is below 1e-6), so h(r) <= exp(-e) * h(b), and H(r) < H(b) strictly (a
+    tie would go to r) where (1 + 2/(1 - exp(-e))) * eta * (G(b) + L(b)) <
+    H(b).  That factor is below 6 666 669 at e = 3e-7 and below 4*(n - 1) +
+    3 otherwise, so ``max(8*(n - 1), 2**23) * eta * (G(b) + L(b)) < H(b)``
+    proves both the grid's peak and the refinement's loss.
+
+    Concave window, beta < 1: grid[j - 2..j + 3], clipped, for j =
+    floor(c*/b * (n - 1)) if the root c* < b, else n - 1 (a hint only).  h
+    is concave, so where H rises by over 2E from the window's first point
+    grid[f], f > 0, every i < f has H(grid[i]) <= h(grid[i]) + E <
+    h(grid[f]) + E <= H(grid[f]) + 2E < H(grid[f + 1]); likewise past its
+    end unless that is b (eta's slack covers rounding)."""
+    a, k, beta, step = s.a, s.k, s.beta, budget / last
+    outlays = (step * a, budget * a)
+    if beta < 1.0:
+        root = _root(s.M, a, k, beta, s.delta, s.loyalty_exponent)
+        j = min(max(int(root / budget * last), 0), last) if root < budget else last
+        first, end = max(j - 2, 0), min(j + 3, last)
+        window, outlays = [], [*outlays]
+        for i in range(first, end + 1):  # a comprehension would make these locals cells
+            window.append(i * step if i < last else budget)
+            outlays.append(window[-1] * a)
+    elif beta > 2.0**20:
         return None
-    eta = (s.beta + 2.0**10) * 2.0**-52
-    if (gb * (1.0 + 4.0 * eta) < lb and a >= 2.0**-16 and s.k * a * a * nb <= 2.0**20 * slope
-            and g1 - l1 < -2.0**-20 * slope * step
-            or max(8.0 * last, 2.0**23) * eta * (gb + lb) < hb):
-        return hb
-    return None
-
-
-def _concave_window(s: CsrScenario, nb, slope, budget: float, last: int):
-    """``optimize_oracle``'s ``(lo, hi, c, H(c), H(b))`` (bracket, grid peak,
-    H at the budget b) bit for bit from grid[j - 2..j + 3] (i * step, b at
-    n - 1), j = floor(c*/b * (n - 1)) for the root c* < b, else n - 1 (a
-    hint only), where they provably hold the grid's first peak; else None.
-    In the convex-ends rule's normal range each H on [0, b] is within E =
-    eta * (G(b) + L(b)) of h (G, L rise with c), the real H of the computed
-    constants, concave for beta < 1.  So where H rises by over 2E from the
-    window's first point grid[f], f > 0, every i < f has H(grid[i]) <=
-    h(grid[i]) + E < h(grid[f]) + E <= H(grid[f]) + 2E < H(grid[f + 1]);
-    likewise past its end unless that is b (eta's slack covers rounding)."""
-    a, k, step = s.a, s.k, budget / last
-    root = _root(s.M, a, k, s.beta, s.delta, s.loyalty_exponent)
-    j = min(max(int(root / budget * last), 0), last) if root < budget else last
-    first, end = max(j - 2, 0), min(j + 3, last)
-    outlays = [i * step if i < last else budget for i in range(first, end + 1)]
-    p1, pb, *powers = np.power([step * a, budget * a, *[c * a for c in outlays]], s.beta).tolist()
+    powers = np.power(outlays, beta).tolist()  # as _h has them
+    p1, pb = powers[0], powers[1]
     t1, gb, lb = p1 * k * a * a, pb * k * a * a * nb, slope * budget
-    window = [p * k * a * a * nb - slope * c for c, p in zip(outlays, powers)]
-    margin = 2.0 * (s.beta + 2.0**10) * 2.0**-52 * (gb + lb)  # 2E
     if (last >= 2**50 or pb >= 2.0**1020
-            or min(step * a, p1, t1, t1 * nb, slope * step) < 2.0**-1020
-            or first > 0 and window[1] - window[0] <= margin
-            or end < last and window[-2] - window[-1] <= margin):
+            or min(step * a, p1, t1, t1 * nb, slope * step) < 2.0**-1020):
         return None
-    m = window.index(max(window))
-    return (outlays[max(m - 1, 0)], outlays[min(m + 1, len(window) - 1)],
-            outlays[m], window[m], gb - lb)
+    eta, hb = (beta + 2.0**10) * 2.0**-52, gb - lb
+    if beta >= 1.0:
+        if (gb * (1.0 + 4.0 * eta) < lb and a >= 2.0**-16 and k * a * a * nb <= 2.0**20 * slope
+                and t1 * nb - slope * step < -2.0**-20 * slope * step
+                or max(8.0 * last, 2.0**23) * eta * (gb + lb) < hb):
+            return (budget, hb) if hb > 0.0 else (0.0, 0.0)
+        return None
+    values = []
+    for c, p in zip(window, powers[2:]):
+        values.append(p * k * a * a * nb - slope * c)
+    margin = 2.0 * eta * (gb + lb)  # 2E
+    if (first > 0 and values[1] - values[0] <= margin
+            or end < last and values[-2] - values[-1] <= margin):
+        return None
+    m = values.index(max(values))
+    return (window[max(m - 1, 0)], window[min(m + 1, len(window) - 1)],
+            window[m], values[m], hb)
 
 
 def comparative_statics(scenario: CsrScenario, param: str) -> float:

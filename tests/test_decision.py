@@ -37,13 +37,13 @@ from moebius_csr.decision import (
     optimize_constrained,
     optimize_oracle,
     stationary_closed_form,
+    _certified,
     _check_domain,
-    _concave_window,
     _golden_max,
+    _h,
     _h_at,
     _objective,
     _past_range,
-    _uniform_grid,
 )
 
 
@@ -555,19 +555,18 @@ def _oracle_budgets(rng):
 
 def test_oracle_grid_is_linspace_bitwise():
     # np.linspace overshoots its stop only where the step is subnormal, and
-    # the grid is clamped to the budget there
+    # the oracle's grid is clamped to the budget there; where the step is
+    # normal, every index that _certified scores without the grid is i * step
     rng = np.random.default_rng(909)
     budgets = _oracle_budgets(rng)
     for budget in budgets:
         for n in (2, 3, 2001, int(rng.integers(2, 5000))):
-            grid = _uniform_grid(float(budget), n)
             linspace = np.linspace(0.0, budget, n)
-            assert grid.tobytes() == np.minimum(linspace, budget).tobytes()
+            assert linspace[0] == 0.0 and linspace[-1] == budget
             step = float(budget) / (n - 1)
             if step >= 2.0**-1022:
-                assert grid.tobytes() == linspace.tobytes()
-                # the oracle's convex-ends rule takes these two without the grid
-                assert grid[[1, -2]].tobytes() == np.array([step, (n - 2) * step]).tobytes()
+                assert linspace.tobytes() == np.minimum(linspace, budget).tobytes()
+                assert linspace[:-1].tobytes() == (np.arange(n - 1) * step).tobytes()
 
 
 def test_oracle_refinement_ends_for_every_budget():
@@ -753,20 +752,20 @@ def test_oracle_refines_only_where_h_can_peak_inside(monkeypatch):
         (dict(beta=3.7, k=0.3, a=0.1, p=4.2), 0.0),
     ]
     def no_grid(*args):
-        raise AssertionError("the grid was built")
+        raise AssertionError("the grid was scored")
 
     for change, c_best in cases:
         s = replace(base, **change)
         evaluations.clear()
         with monkeypatch.context() as patch:
             if s.beta >= 1.0:  # convex or linear: the two ends prove the peak
-                patch.setattr("moebius_csr.decision._uniform_grid", no_grid)
+                patch.setattr("moebius_csr.decision._h", no_grid)
             assert optimize_oracle(s, 2001)[0] == c_best, change
             assert evaluations == [], change
             assert repr(optimize_oracle(s, 2001)) == repr(_errstate_optimizers(s)[1])
     grids = []
-    monkeypatch.setattr("moebius_csr.decision._uniform_grid",
-                        lambda *args: grids.append(args) or _uniform_grid(*args))
+    monkeypatch.setattr("moebius_csr.decision._h", lambda grid, *args:
+                        grids.append((grid.item(-1), grid.size)) or _h(grid, *args))
     for change, grid in (
         # concave: the peak lies inside, and the window around the root proves
         # where, so it is refined without the grid
@@ -789,8 +788,8 @@ def test_oracle_window_takes_the_root_as_a_hint_only(monkeypatch):
     reference = repr(_errstate_optimizers(s)[1])
     root, step = stationary_closed_form(s), 3.0 / 2000
     grids = []
-    monkeypatch.setattr("moebius_csr.decision._uniform_grid",
-                        lambda *args: grids.append(args) or _uniform_grid(*args))
+    monkeypatch.setattr("moebius_csr.decision._h", lambda grid, *args:
+                        grids.append((grid.item(-1), grid.size)) or _h(grid, *args))
     assert repr(optimize_oracle(s, 2001)) == reference and grids == []
     for wrong in (0.0, math.inf, math.nan, 1.0, root - 3.0 * step, root + 4.0 * step):
         grids.clear()
@@ -824,8 +823,8 @@ def test_oracle_window_equals_full_grid_on_domain_draws(monkeypatch):
     # decides: with a margin of 0 the window is taken on rounding noise),
     # both paths must run and equal the reference that scores the grid
     certified = []
-    monkeypatch.setattr("moebius_csr.decision._concave_window",
-                        lambda *args: certified.append(_concave_window(*args)) or certified[-1])
+    monkeypatch.setattr("moebius_csr.decision._certified",
+                        lambda *args: certified.append(_certified(*args)) or certified[-1])
     extreme = [s for s in _extreme_scenarios(np.random.default_rng(4243), 2000)
                if s.beta < 1.0 and s.a > 0.0]
     for draws in (extreme, _cancelling_scenarios(np.random.default_rng(4244), 400)):

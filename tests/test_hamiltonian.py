@@ -57,16 +57,6 @@ def test_assemble_zero_hopping_spectrum_is_sorted_epsilon():
     assert np.allclose(eigenvalues(h), np.sort(eps.ravel()), atol=1e-12)
 
 
-def test_assemble_rejects_bad_epsilon_and_params():
-    lat = build_moebius(2, 2)
-    with pytest.raises(ValueError):
-        assemble(lat, HoppingParams(t1=1.0, t2=1.0, epsilon=np.zeros((3, 2))))
-    with pytest.raises(ValueError):
-        assemble(lat, HoppingParams(t1=np.nan, t2=1.0))
-    with pytest.raises(ValueError):
-        assemble(lat, HoppingParams(t1=1.0, t2=np.inf))
-
-
 def _loop_assemble(lat, params):
     """Bond-by-bond fill over ``lat.edges``: the oracle of the stacked builder."""
     d = lat.n_sites

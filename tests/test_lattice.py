@@ -53,12 +53,6 @@ def test_edge_shapes_exhaustive():
                     assert a.n <= N and b.n == a.n + N  # stored once, n <= N
 
 
-def test_longitudinal_degree_always_two():
-    for N, M in [(1, 1), (1, 2), (2, 1), (3, 4)]:
-        for found in incidences(build_moebius(N, M)).values():
-            assert [kind for _, kind in found].count(EdgeKind.LONGITUDINAL) == 2
-
-
 def test_site_index_bijection_and_order():
     for N in range(1, 9):
         for M in range(1, 9):
