@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -129,7 +130,9 @@ def _cmd_spectrum(args) -> tuple[str, int]:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():  # total_hcsr names a matrix with no rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def _cmd_cost(args) -> tuple[str, int]:

@@ -38,7 +38,7 @@ from ._kernels import (
     sum_ring_products,
     sum_rung_products,
 )
-from .lattice import as_real
+from .lattice import as_real, as_real_array
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class CsrParams:
 
 
 def _as_grid(x, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
+    arr = np.ascontiguousarray(as_real_array(name, x))
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got {arr.ndim}-d")
     rows, cols = arr.shape

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .lattice import as_real, is_int
+from .lattice import as_real, as_real_array, is_int
 
 
 class BetaRegime(enum.Enum):
@@ -250,7 +250,7 @@ def _past_range(c, value) -> ValueError:
 def hcsr_of_c(c, scenario: CsrScenario):
     """Objective H(c); accepts a scalar or an array of outlays >= 0.  An H
     past float range raises ValueError naming the first such outlay."""
-    arr = np.asarray(c, dtype=np.float64)
+    arr = as_real_array("c", c)
     if not np.all(np.isfinite(arr)):
         raise ValueError("c must be finite")
     if np.any(arr < 0.0):

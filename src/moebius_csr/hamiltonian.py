@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import hermitian_eigvals, tridiagonal_eigvals
-from .lattice import EdgeKind, MoebiusLattice, Topology, as_real, is_int
+from .lattice import EdgeKind, MoebiusLattice, Topology, as_real, as_real_array, is_int
 
 # most bytes one block of flux_sweep holds: its levels on the Bloch path,
 # its matrices on the dense path
@@ -91,7 +91,7 @@ def _validated_epsilon(
     _check_flux(as_real("phi", params.phi))
     if params.epsilon is None:
         return None
-    eps = np.asarray(params.epsilon, dtype=np.float64)
+    eps = as_real_array("epsilon", params.epsilon)
     if eps.shape != (2 * lattice.N, lattice.M):
         raise ValueError(
             f"epsilon must have shape {(2 * lattice.N, lattice.M)}, "
@@ -228,16 +228,9 @@ def flux_sweep(
     other than ints and floats, when a flux is not finite or ``2*pi*phi`` leaves
     float range, and when the band ``-2*t1*cos(...)`` or an energy overflows.
     """
-    grid = np.asarray(phis)
-    if (not isinstance(phis, np.ndarray) or grid.dtype.kind == "O") and grid.ndim:
-        # a list upcasts a bool, or an int past int64, before the dtype test sees it
-        grid = np.array([as_real("flux grid must be 1-D real numbers: each flux", phi)
-                         for phi in phis])
-    if grid.ndim > 1 or grid.dtype.kind not in "iuf":  # bool, complex, str, object
-        raise ValueError(f"flux grid must be 1-D real numbers, got {grid.dtype}{grid.shape}")
-    grid = np.atleast_1d(grid.astype(np.float64, copy=False))
-    if grid.size == 0:
-        raise ValueError("flux grid must be nonempty")
+    grid = np.atleast_1d(as_real_array("flux grid", phis))
+    if grid.ndim > 1 or grid.size == 0:
+        raise ValueError(f"flux grid must be 1-D and nonempty, got shape {grid.shape}")
     _check_flux(grid.item(np.abs(grid).argmax()))  # argmax finds a nan first
     eps = _validated_epsilon(lattice, params)
     _check_filling(n_electrons, lattice.n_sites)

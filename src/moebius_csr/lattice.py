@@ -26,6 +26,8 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 def is_int(value) -> bool:
     """The package's rule for a count (a strip size, a filling): an int or a
@@ -44,6 +46,18 @@ def as_real(name: str, value) -> float:
         return float(value)
     except OverflowError:  # an int past float range
         return math.inf
+
+
+def as_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; ValueError naming ``name`` unless each entry
+    is real as :func:`as_real` has it; a non-object ndarray shows it by its dtype."""
+    if not isinstance(value, np.ndarray) or value.dtype.kind == "O":
+        # a list upcasts a bool, or an int past int64, before a dtype test sees it
+        items = np.asarray(value, dtype=object)
+        value = np.array([as_real(f"{name} entry", x) for x in items.flat]).reshape(items.shape)
+    if value.dtype.kind not in "iuf":  # bool, complex, str
+        raise ValueError(f"{name} must hold real numbers, got dtype {value.dtype}")
+    return value.astype(np.float64, copy=False)
 
 
 class EdgeKind(enum.Enum):

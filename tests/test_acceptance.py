@@ -32,6 +32,7 @@ from conftest import (
 )
 from moebius_csr import cli, csr_cost
 from moebius_csr.decision import (
+    BetaRegime,
     CsrScenario,
     StationaryKind,
     bracket,
@@ -58,29 +59,36 @@ def criterion(num, summary):
 def test_criterion_01_closed_form_roots(s0, s1):
     with criterion(1, "closed-form stationary points match bisection roots in < 1 s"):
         start = time.perf_counter()
-        for s, expected in ((s0, 1.367521), (s1, 0.267363)):
+        for s, expected in ((s0, 1.3675213675213675), (s1, 0.26736328125)):
             root = bisect_root(lambda c: dhcsr_expanded(c, s), 1e-6, 10.0)
             closed = stationary_closed_form(s)
             assert abs(closed - root) <= 1e-10 * abs(root)
-            assert closed == pytest.approx(expected, abs=5e-7)
+            assert closed == pytest.approx(expected, rel=1e-14)
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_02_regime_classification():
-    with criterion(2, "200 random scenarios classify by the second-difference sign"):
+def test_criterion_02_regime_classification(s0, s1, s2):
+    with criterion(2, "252 scenarios classify by the second-difference sign"):
         rng = np.random.default_rng(20260816)
+        draws = [random_scenario(rng, regime="above" if i % 2 else "below") for i in range(200)]
+        rng = np.random.default_rng(404)
+        draws += [random_scenario(rng) for _ in range(50)]
         failures = 0
-        for i in range(200):
-            s = random_scenario(rng, regime="above" if i % 2 else "below")
-            c_star = stationary_closed_form(s)
-            kind = optimize_constrained(s).stationary_kind
-            curvature = second_difference(s, c_star)
+        for s in draws + [s0, s1]:
+            report = optimize_constrained(s)
+            curvature = second_difference(s, stationary_closed_form(s))
             if s.beta > 1.0:
-                ok = kind is StationaryKind.LOCAL_MIN and curvature > 0.0
+                ok = (report.case is BetaRegime.BETA_ABOVE_ONE
+                      and report.stationary_kind is StationaryKind.LOCAL_MIN and curvature > 0.0)
             else:
-                ok = kind is StationaryKind.LOCAL_MAX and curvature < 0.0
+                ok = (report.case is BetaRegime.BETA_BELOW_ONE
+                      and report.stationary_kind is StationaryKind.LOCAL_MAX and curvature < 0.0)
             failures += not ok
         assert failures == 0
+        # on the knife edge H' is constant, and where a = 0 H has no stationary point
+        assert optimize_constrained(s2).case is BetaRegime.BETA_EQUAL_ONE
+        zero = CsrScenario(N=2, M=1, a=0.0, k=1.0, beta=2.0, delta=0.5, p=2.0, w=1.0)
+        assert optimize_constrained(zero).stationary_kind is None
 
 
 def test_criterion_03_flat_slope_corner_rule(s2):
@@ -89,6 +97,8 @@ def test_criterion_03_flat_slope_corner_rule(s2):
         assert sign_value == pytest.approx(0.8681, abs=1e-10)
         assert sign_value > 0.0
         report = optimize_constrained(s2)
+        assert report.stationary is None
+        assert report.stationary_kind is StationaryKind.FLAT_DERIVATIVE
         assert report.constrained_opt == 2.0  # spend the whole budget p - w
         c_ref, h_ref = optimize_oracle(s2, 10_000)
         assert c_ref == 2.0

@@ -299,15 +299,22 @@ def test_cost_golden(capsys, cost_files):
 
 def test_cost_rejects_bad_matrix(capsys, cost_files, tmp_path):
     a, c = cost_files
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1.5,0.2\n0.1,0.3\n", encoding="utf-8")  # level >= 1
-    argv = [
-        "cost", "--contributions", str(bad), "--costs", c,
-        "--t1", "1", "--t2", "1", "--delta", "0.5",
-    ]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 2
-    assert err.startswith("error:")
+    # an empty file, or one of comments only, also printed NumPy's UserWarning
+    no_rows = "error: contribution matrix needs an even row count >= 2, got 0\n"
+    for text, want in (
+        ("1.5,0.2\n0.1,0.3\n", "error: contribution entries must lie in [0, 1)\n"),
+        ("", no_rows),
+        ("# no data\n", no_rows),
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        argv = [
+            "cost", "--contributions", str(bad), "--costs", c,
+            "--t1", "1", "--t2", "1", "--delta", "0.5",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, argv) == (2, "", want)
 
 
 def test_cost_past_float_range_exits_2(capsys, cost_files, tmp_path):

@@ -236,6 +236,13 @@ def test_validation_errors():
         (good, np.full((2, 2), -1.0), r"^cost entries must be >= 0$"),
         (good, np.full((2, 0), 1.0), r"^cost matrix needs at least one column$"),
         (good, np.array([[np.nan, 0.0], [0.0, 0.0]]), r"^cost matrix must be finite$"),
+        # complex and bool entries were taken as their real parts, or as 1.0
+        (np.full((2, 2), 0.5 + 0.3j), good,
+         r"^contribution matrix must hold real numbers, got dtype complex128$"),
+        ([[0.5, 0.5], [0.5, 0.5 + 0.3j]], good,
+         r"^contribution matrix entry must be a real number, got \(0\.5\+0\.3j\)$"),
+        (good, np.full((2, 2), True), r"^cost matrix must hold real numbers, got dtype bool$"),
+        (good, [[1.0, True], [0.0, 0.0]], r"^cost matrix entry must be a real number, got True$"),
     ):
         with pytest.raises(ValueError, match=message):
             total_hcsr(a, c, params)

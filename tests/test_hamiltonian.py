@@ -416,6 +416,15 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
             flux_sweep(lat, params, [0.0], 2)
         with pytest.raises(ValueError):
             assemble(lat, params)
+    # complex and bool energies were taken as their real parts, or as 1.0
+    bad_epsilon = "^epsilon (must hold real numbers|entry must be a real number)"
+    for epsilon in (np.full((4, 2), 1 + 1j), np.full((4, 2), True),
+                    [[1 + 1j, 0.0]] + [[0.0, 0.0]] * 3, [[True, 0.0]] + [[0.0, 0.0]] * 3):
+        params = HoppingParams(t1=1.0, t2=1.0, epsilon=epsilon)
+        with pytest.raises(ValueError, match=bad_epsilon):
+            flux_sweep(lat, params, [0.0], 2)
+        with pytest.raises(ValueError, match=bad_epsilon):
+            assemble(lat, params)
     # a filling is an integer count in 0..d, never a bool
     params = HoppingParams(t1=1.0, t2=1.0)
     for bad in (-1, lat.n_sites + 1):
@@ -435,7 +444,8 @@ def test_flux_sweep_rejects_bad_params_on_both_paths():
         for bad in (np.zeros((2, 3)), [[0.0], [0.5]], [True, False], ["0.1"], [0.5 + 0.5j],
                     np.zeros(2, dtype=complex), [0.5, True], (0.0, np.bool_(False)),
                     np.array([0.5, True], dtype=object)):
-            with pytest.raises(ValueError, match="^flux grid must be 1-D real numbers"):
+            with pytest.raises(ValueError, match="^flux grid (must be 1-D and nonempty|"
+                                                 "must hold real numbers|entry must be a real number)"):
                 flux_sweep(lat, params, bad, 2)
         # an int past int64 is a real number, as as_real has it, and was refused
         # as an object grid
