@@ -52,19 +52,22 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(target) + ".", dir=os.path.dirname(target)
-    )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(target) + ".", dir=os.path.dirname(target)
+        )
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _parse_sweep(text: str, flag: str) -> np.ndarray:

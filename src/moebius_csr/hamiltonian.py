@@ -131,12 +131,14 @@ def assemble(lattice: MoebiusLattice, params: HoppingParams) -> np.ndarray:
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Rejects non-square, non-finite and non-Hermitian input (tolerance
-    ``1e-12`` relative to the largest entry).  Input with a nonzero
-    imaginary part is solved as complex Hermitian, anything else as real
-    symmetric.
+    Rejects non-numeric (bool, string, object), non-square, non-finite and
+    non-Hermitian input (tolerance ``1e-12`` relative to the largest
+    entry).  Input with a nonzero imaginary part is solved as complex
+    Hermitian, anything else as real symmetric.
     """
     h = np.asarray(h)
+    if h.dtype.kind not in "iufc":
+        raise ValueError(f"expected a real or complex matrix, got dtype {h.dtype}")
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):

@@ -192,32 +192,44 @@ def test_criterion_07_hamiltonian_suite():
         # solver sanity on analytic cases
         diag = np.diag([3.0, 1.0, 2.0])
         assert np.array_equal(eigenvalues(diag), [1.0, 2.0, 3.0])
-        two = np.array([[0.0, -0.7], [-0.7, 0.0]])
-        assert np.allclose(eigenvalues(two), [-0.7, 0.7], atol=1e-12)
+        for t in (0.7, 0.73):
+            two = np.array([[0.0, -t], [-t, 0.0]])
+            assert np.allclose(eigenvalues(two), [-t, t], atol=1e-12, rtol=0.0)
 
-        rng = np.random.default_rng(707)
+        def hermitian_with_trace(lat, params):
+            h = assemble(lat, params)
+            assert np.array_equal(h, h.conj().T)  # Hermitian by construction
+            w = eigenvalues(h)
+            trace = float(np.trace(h).real)
+            assert abs(w.sum() - trace) <= 1e-9 * max(1.0, abs(trace))
+            return w
+
+        uniform = HoppingParams(t1=1.0, t2=0.8, phi=0.3, epsilon=np.full((6, 3), 0.2))
+        hermitian_with_trace(build_moebius(3, 3), uniform)
+        # one flux quantum per period, E(phi) = E(phi + N), on disordered
+        # (seed 707) and clean (seed 3) strips
+        rng, clean = np.random.default_rng(707), np.random.default_rng(3)
         for n in range(2, 7):
             for m in range(1, 5):
                 lat = build_moebius(n, m)
                 eps = rng.normal(size=(2 * n, m))
                 phi = float(rng.uniform(-2.0, 2.0))
-                params = HoppingParams(t1=1.0, t2=0.6, phi=phi, epsilon=eps)
-                h = assemble(lat, params)
-                assert np.array_equal(h, h.conj().T)  # Hermitian by construction
-                w1 = eigenvalues(h)
-                assert np.isclose(w1.sum(), np.trace(h).real, atol=1e-9)
-                # one flux quantum per period: E(phi) = E(phi + N)
-                w2 = eigenvalues(assemble(lat, replace(params, phi=phi + n)))
-                assert np.allclose(w1, w2, atol=1e-9, rtol=0.0)
+                for params in (
+                    HoppingParams(t1=1.0, t2=0.6, phi=phi, epsilon=eps),
+                    HoppingParams(t1=1.0, t2=0.9, phi=float(clean.uniform(-1.0, 1.0))),
+                ):
+                    w1 = hermitian_with_trace(lat, params)
+                    w2 = eigenvalues(assemble(lat, replace(params, phi=params.phi + n)))
+                    assert np.allclose(w1, w2, atol=1e-9, rtol=0.0)
 
         # cutting the rungs leaves M independent rings
         for n in range(2, 7):
             for m in (1, 3):
                 lat = build_moebius(n, m)
-                phi = float(rng.uniform(-1.0, 1.0))
-                h = assemble(lat, HoppingParams(t1=0.8, t2=0.0, phi=phi))
-                want = np.sort(np.tile(ring_dispersion(n, 0.8, phi), m))
-                assert np.allclose(eigenvalues(h), want, atol=1e-8)
+                for phi in (0.0, float(rng.uniform(-1.0, 1.0))):
+                    h = assemble(lat, HoppingParams(t1=0.8, t2=0.0, phi=phi))
+                    want = np.sort(np.tile(ring_dispersion(n, 0.8, phi), m))
+                    assert np.allclose(eigenvalues(h), want, atol=1e-8, rtol=0.0)
         assert time.perf_counter() - start < 60.0
 
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -390,13 +392,16 @@ def test_missing_scenario_file_is_io_error(capsys, tmp_path):
 
 
 def test_unwritable_output_is_io_error(capsys, scenario_file, tmp_path):
-    argv = [
-        "optimize", "--scenario", scenario_file,
-        "--out", str(tmp_path / "missing_dir" / "x.txt"),
-    ]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 1
-    assert err.startswith("io error:")
+    # the line names the file asked for, and no temporary file is left
+    (tmp_path / "a_dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    for number, target in ((errno.ENOENT, tmp_path / "missing_dir" / "x.txt"),
+                           (errno.EISDIR, tmp_path / "a_dir")):
+        want = f"io error: [Errno {number}] {os.strerror(number)}: {str(target)!r}\n"
+        for flag in ("--out", "--dump-config"):
+            argv = ["optimize", "--scenario", scenario_file, flag, str(target)]
+            assert run_cli(capsys, argv) == (1, "", want)
+            assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_unknown_scenario_key_is_domain_error(capsys, tmp_path):

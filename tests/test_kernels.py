@@ -66,8 +66,11 @@ def test_solver_complex_hermitian_with_exact_degeneracies():
     h[0, 1] = h[2, 3] = 1j
     h[1, 0] = h[3, 2] = -1j
     np.testing.assert_allclose(solve(h), [-1.0, -1.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
-    # a strip Hamiltonian at a complex flux point
-    assert_matches_lapack(assemble(build_moebius(3, 2), HoppingParams(t1=1.0, t2=0.4, phi=0.3)))
+    # strip Hamiltonians at complex flux points
+    for h in (assemble(build_moebius(3, 2), HoppingParams(t1=1.0, t2=0.4, phi=0.3)),
+              assemble(build_moebius(2, 1), HoppingParams(t1=1.0, t2=1.0, phi=0.5))):
+        assert np.any(h.imag)
+        assert_matches_lapack(h)
 
 
 def test_solver_diagonal_input_comes_back_exact():
