@@ -136,6 +136,10 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     entry).  Input with a nonzero imaginary part is solved as complex
     Hermitian, anything else as real symmetric.
     """
+    # a list upcasts a bool before a dtype test sees it, as in as_real_array
+    if not isinstance(h, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(h, dtype=object).flat):
+        raise ValueError("expected a real or complex matrix, got dtype bool")
     h = np.asarray(h)
     if h.dtype.kind not in "iufc":
         raise ValueError(f"expected a real or complex matrix, got dtype {h.dtype}")
@@ -161,18 +165,17 @@ def _check_filling(n_electrons, n_levels: int) -> None:
         )
 
 
-def _filled_sums(levels: np.ndarray, n_electrons: int) -> np.ndarray:
-    """Sum of the lowest ``n_electrons`` levels of each row of ``levels``.
+def _filled_sums(levels: np.ndarray, n_electrons: int, check: bool) -> np.ndarray:
+    """Sum of the lowest ``n_electrons`` levels of each row of ``levels``, sorted in place.
 
-    Raises ValueError if any level is NaN or infinite.  A sum that
-    overflows comes back as inf or NaN: :func:`flux_sweep`, which calls this
-    with warnings off, checks the sums and names the cause.
+    With ``check``, raises ValueError if any level is NaN or infinite.  A sum that
+    overflows comes back as inf or NaN, for :func:`flux_sweep` to name.
     """
-    w = np.sort(levels, axis=1)
+    levels.sort(axis=1)
     # sorting puts -inf first and inf, then NaN, last
-    if w.size and not (np.isfinite(w[:, 0]).all() and np.isfinite(w[:, -1]).all()):
+    if check and levels.size and not np.isfinite(levels[:, [0, -1]]).all():
         raise ValueError("eigenvalues must be finite (got NaN, or inf past float range)")
-    return w[:, : int(n_electrons)].sum(axis=1)
+    return np.add.reduce(levels[:, : int(n_electrons)], axis=1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -246,38 +249,28 @@ def flux_sweep(
     bound += 0.0 if eps is None else float(np.abs(eps).max())
     proven = (int(n_electrons) + 1) * bound < 2.0**1021
     with contextlib.nullcontext() if proven else np.errstate(over="ignore", invalid="ignore"):
-        if eps is None or np.all(eps == eps[0]):
+        bloch = eps is None or np.all(eps == eps[0])
+        if bloch:
             width = -2.0 * params.t1
             if not math.isfinite(width):
-                raise ValueError(
-                    f"t1={params.t1!r} overflows the band -2*t1*cos(...)"
-                )
+                raise ValueError(f"t1={params.t1!r} overflows the band -2*t1*cos(...)")
             if not math.isfinite(-2.0 * params.t2):
-                raise ValueError(
-                    f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)"
-                )
+                raise ValueError(f"t2={params.t2!r} overflows the chain levels -2*t2*cos(...)")
             chains = _chain_levels(lattice, float(params.t2), None if eps is None else eps[0])
             k = _bloch_tables(lattice.N, lattice.M, lattice.topology is Topology.MOEBIUS)[1]
-            point_bytes = 8 * lattice.n_sites
-
-            def levels_at(part):
-                band = width * np.cos(k - 2.0 * np.pi * part.reshape(-1, 1, 1, 1) / lattice.N)
-                return (band + chains).reshape(part.size, -1)
-
-        else:
-            point_bytes = 16 * lattice.n_sites**2
-
-            def levels_at(part):
-                return hermitian_eigvals(_stack(lattice, params, eps, part.tolist()))
-
+            phases = 2.0 * np.pi * grid / lattice.N
         out = np.empty((grid.size, 2), dtype=np.float64)
         out[:, 0] = grid
+        point_bytes = 8 * lattice.n_sites if bloch else 16 * lattice.n_sites**2
         step = max(1, BLOCK_BYTES // point_bytes)
         for start in range(0, grid.size, step):
             rows = slice(start, start + step)
-            levels = levels_at(grid[rows])
-            out[rows, 1] = (np.sort(levels, axis=1)[:, : int(n_electrons)].sum(axis=1)
-                            if proven else _filled_sums(levels, n_electrons))
+            if bloch:
+                band = width * np.cos(k - phases[rows].reshape(-1, 1, 1, 1))
+                levels = (band + chains).reshape(len(band), -1)
+            else:
+                levels = hermitian_eigvals(_stack(lattice, params, eps, grid[rows].tolist()))
+            out[rows, 1] = _filled_sums(levels, n_electrons, not proven)
     if not proven and not np.all(np.isfinite(out[:, 1])):
         raise ValueError(
             f"ground-state energy overflows float range with t1={params.t1!r}, "

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import reject
+from hypothesis import reject, settings
 from hypothesis import strategies as st
 
 from moebius_csr.decision import (
@@ -44,6 +44,11 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     part for part in (_SRC, os.environ.get("PYTHONPATH")) if part
 )
+
+# Every property test draws the same examples on every run and has no deadline;
+# each test sets only its own max_examples.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 # The CLI's goldens: scenario S0 with lambda = 4, the cost inputs, and the

@@ -146,7 +146,7 @@ def test_linearity_in_sensitivities():
     )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     N=st.integers(1, 6),
     M=st.integers(1, 5),
@@ -169,7 +169,7 @@ def test_interaction_is_the_strip_hamiltonian_form_property(N, M, t1, t2, delta,
     assert math.isclose(interaction, form, rel_tol=1e-13, abs_tol=np.finfo(float).tiny)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     N=st.integers(1, 6),
     M=st.integers(1, 5),

@@ -172,7 +172,7 @@ json_values = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from([key for key, _, _ in SCENARIO_KEYS]), json_values)
 def test_from_dict_raises_only_value_error_property(key, value):
     base = CsrScenario(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.1, p=3.0, w=1.0)
@@ -205,7 +205,7 @@ def test_hcsr_basics(s1):
     assert hcsr_of_c(0.267363, s1) == pytest.approx(5.3473, abs=2e-4)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     scenarios(max_beta=40.0, max_p=1e12, max_w=1e3),
     st.integers(0, 2**32 - 1).map(
@@ -247,7 +247,7 @@ def test_scalar_h_equals_array_h_bitwise_property(plain, extreme, data):
                     hcsr_of_c(np.array(outlays), s)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(scenarios(max_beta=6.0, max_p=1e12, max_w=10.0))
 # an interior maximum far below a large budget: an oracle that stopped at
 # 1e-10 * budget left a relative H gap of 3.4e-9 here
@@ -334,7 +334,7 @@ def test_stationary_past_float_range_is_inf_without_warnings():
             assert stationary_closed_form(s) == math.inf
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(
     st.builds(
         CsrScenario,
@@ -616,7 +616,7 @@ def test_optimizers_equal_errstate_reference_bitwise_property():
         assert repr(oracle) == repr(ref_oracle), s
 
 
-@settings(derandomize=True, max_examples=450, deadline=None)
+@settings(max_examples=450)
 @given(st.one_of(
     skip_edge_scenarios().map(lambda s: (s, 2001)),
     st.integers(0, 2**32 - 1).map(
@@ -870,7 +870,7 @@ def _near(x, width):
     return st.floats(x - width, x + width)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.fixed_dictionaries(dict(
         N=st.one_of(st.integers(1, 200), st.integers(1, 10**160)),
@@ -930,7 +930,7 @@ def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
 # --- the paper's result over the whole valid domain --------------------------
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(paper_scenarios(st.one_of(st.floats(0.01, 1.0, exclude_max=True),
                                  st.floats(1.0, 10.0, exclude_min=True))))
 def test_statics_sign_table_property(s):
@@ -951,7 +951,7 @@ def test_statics_sign_table_property(s):
         assert sign * diff > 0.0, param
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(paper_scenarios(st.one_of(st.floats(0.01, 10.0), st.just(1.0))))
 def test_invest_rule_property(s):
     # with budget b = p - w > 0 the firm invests (c_opt > 0) exactly when
