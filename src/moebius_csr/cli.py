@@ -8,7 +8,8 @@ sweep).  Each subcommand returns its report text and exit code, and
 ``main`` writes every report, to ``--out`` or stdout.  Numbers are
 printed with 12 significant digits and files are written atomically
 (temp file in the target directory, then rename), so identical inputs
-produce byte-identical outputs.
+produce byte-identical outputs.  Each subcommand imports the package
+modules it runs when it runs, so a call loads no module it does not use.
 
 Exit codes: 0 success, 1 file I/O failure, 2 invalid arguments or domain
 error, 3 infeasible scenario (the margin constraint fails, i.e. p < w
@@ -28,8 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import csr_cost, decision, hamiltonian
-from .lattice import MoebiusLattice, Topology
+from .lattice import LOYALTY_EXPONENTS, SCENARIO_KEYS, MoebiusLattice, Topology
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -91,7 +91,8 @@ def _parse_sweep(text: str, flag: str) -> np.ndarray:
     return start + step * np.arange(math.floor(count) + 1)
 
 
-def _load_scenario(args) -> decision.CsrScenario:
+def _load_scenario(args):
+    from . import decision
     with open(args.scenario, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -99,7 +100,7 @@ def _load_scenario(args) -> decision.CsrScenario:
     scenario = decision.CsrScenario.from_dict(data)
     overrides = {
         name: getattr(args, name)
-        for _, name, _ in decision.SCENARIO_KEYS
+        for _, name, _ in SCENARIO_KEYS
         if getattr(args, name, None) is not None
     }
     return replace(scenario, **overrides) if overrides else scenario
@@ -119,6 +120,7 @@ def _cmd_lattice(args) -> tuple[str, int]:
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
+    from . import hamiltonian
     lat = _strip(args)
     electrons = args.electrons if args.electrons is not None else lat.N * lat.M
     if args.flux_sweep is not None:
@@ -133,12 +135,15 @@ def _cmd_spectrum(args) -> tuple[str, int]:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    with warnings.catch_warnings():  # total_hcsr names a matrix with no rows
+    # opened here, not by NumPy, so a missing file reads as in every subcommand;
+    # total_hcsr names a matrix with no rows
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        return np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def _cmd_cost(args) -> tuple[str, int]:
+    from . import csr_cost
     a = _load_matrix(args.contributions)
     c = _load_matrix(args.costs)
     params = csr_cost.CsrParams(t1=args.t1, t2=args.t2, delta=args.delta)
@@ -151,6 +156,7 @@ def _cmd_cost(args) -> tuple[str, int]:
 
 
 def _cmd_optimize(args) -> tuple[str, int]:
+    from . import decision
     if args.oracle_points is not None and args.oracle_points > MAX_POINTS:
         raise ValueError(
             f"--oracle-points asks for {args.oracle_points} points (limit {MAX_POINTS})")
@@ -180,18 +186,12 @@ def _cmd_optimize(args) -> tuple[str, int]:
 
 
 def _cmd_statics(args) -> tuple[str, int]:
+    from . import decision
     scenario = _load_scenario(args)
-    values = _parse_sweep(args.range, "--range")
+    values = _parse_sweep(args.range, "--range").tolist()
+    roots = decision.stationary_sweep(scenario, args.param, values)
     lines = ["param_value,c_star"]
-    for value in values:
-        if args.param == "M":
-            if abs(value - round(value)) > 1e-9:
-                raise ValueError(f"M sweep values must be integers, got {value}")
-            varied = replace(scenario, M=int(round(value)))
-        else:
-            varied = replace(scenario, **{args.param: float(value)})
-        stationary = decision.stationary_closed_form(varied)
-        lines.append(f"{_fmt(value)},{_fmt(stationary)}")
+    lines += [f"{_fmt(value)},{_fmt(root)}" for value, root in zip(values, roots)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 
@@ -271,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the effective scenario JSON (after overrides) to FILE",
     )
-    for key, name, kind in decision.SCENARIO_KEYS:
+    for key, name, kind in SCENARIO_KEYS:
         p_opt.add_argument(
             "--" + name.replace("_", "-"),
             type=kind,
-            choices=decision.LOYALTY_EXPONENTS if key == "lambda" else None,
+            choices=LOYALTY_EXPONENTS if key == "lambda" else None,
             default=None,
             help=f"override scenario {key}",
         )

@@ -5,7 +5,8 @@ and spends the same outlay ``c``, the cost functional collapses to one
 objective H(c) (``_objective``), which the firm maximizes over its budget
 ``0 <= c <= p - w``.  The module holds the scenario (``CsrScenario``),
 H and its bracket (``hcsr_of_c``, ``bracket``), the stationary point
-(``stationary_closed_form``), the optimizer over the budget, which also
+(``stationary_closed_form``) and its sweep along one field
+(``stationary_sweep``), the optimizer over the budget, which also
 reports the regime of beta and the stationary point's kind
 (``optimize_constrained``), a grid oracle that uses the closed form
 only as a checked hint (``optimize_oracle``) and the sensitivity of the
@@ -22,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .lattice import as_real, as_real_array, is_int
+from .lattice import LOYALTY_EXPONENTS, SCENARIO_KEYS, as_real, as_real_array, is_int
 
 
 class BetaRegime(enum.Enum):
@@ -38,22 +39,6 @@ class StationaryKind(enum.Enum):
     LOCAL_MIN = "LocalMin"
     FLAT_DERIVATIVE = "FlatDerivative"
 
-
-# Each scenario-file key, the CsrScenario field it sets and that field's
-# type.  A key whose field has a default (``lambda``) may be left out.
-SCENARIO_KEYS = (
-    ("N", "N", int),
-    ("M", "M", int),
-    ("a", "a", float),
-    ("k", "k", float),
-    ("beta", "beta", float),
-    ("delta", "delta", float),
-    ("p", "p", float),
-    ("w", "w", float),
-    ("lambda", "loyalty_exponent", int),
-)
-
-LOYALTY_EXPONENTS = (2, 4)
 
 STATICS_STEP = 1e-2  # half-width of the central difference in comparative_statics
 _NO_ERRSTATE = contextlib.nullcontext()  # _objective's error state where H stays finite
@@ -77,7 +62,8 @@ def _scenario_value(key: str, value, kind: type):
 
 def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
     """Raise ValueError naming the first field outside the scenario domain,
-    for ``CsrScenario`` and the stepped fields of ``comparative_statics``."""
+    for ``CsrScenario``, the points of ``stationary_sweep`` and the stepped
+    fields of ``comparative_statics``."""
     if not math.isfinite(a + k + beta + delta + p + w):  # finite only if every field is
         for name, value in zip("a k beta delta p w".split(), (a, k, beta, delta, p, w)):
             if not math.isfinite(value):
@@ -288,6 +274,25 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
     """
     s = scenario
     return _root(s.M, s.a, s.k, s.beta, s.delta, s.loyalty_exponent)
+
+
+def stationary_sweep(scenario: CsrScenario, param: str, values) -> list[float | None]:
+    """``stationary_closed_form`` of ``scenario`` with field ``param`` (delta,
+    beta or M) set to each of ``values`` in turn, each point checked by
+    ``_check_domain`` on the fields, with no scenario built.  The first value
+    outside the domain, or an M over 1e-9 from an integer, raises ValueError."""
+    if param not in ("delta", "beta", "M"):
+        raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")
+    f = {name: getattr(scenario, name) for _, name, _ in SCENARIO_KEYS}
+    roots = []
+    for value in values:
+        if param == "M" and abs(value - round(value)) > 1e-9:
+            raise ValueError(f"M sweep values must be integers, got {value}")
+        f[param] = int(round(value)) if param == "M" else float(value)
+        _check_domain(**f)
+        roots.append(_root(f["M"], f["a"], f["k"], f["beta"], f["delta"],
+                           f["loyalty_exponent"]))
+    return roots
 
 
 def _root(M, a, k, beta, delta, loyalty_exponent) -> float | None:

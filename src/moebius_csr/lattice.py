@@ -60,6 +60,17 @@ def as_real_array(name: str, value) -> np.ndarray:
     return value.astype(np.float64, copy=False)
 
 
+# Each scenario-file key, the CsrScenario field it sets and that field's type;
+# a key whose field has a default (``lambda``) may be left out.  Kept with the
+# input rules here, as the command line builds its flags from it on every call.
+SCENARIO_KEYS = (
+    ("N", "N", int), ("M", "M", int), ("a", "a", float), ("k", "k", float),
+    ("beta", "beta", float), ("delta", "delta", float), ("p", "p", float),
+    ("w", "w", float), ("lambda", "loyalty_exponent", int),
+)
+LOYALTY_EXPONENTS = (2, 4)
+
+
 class EdgeKind(enum.Enum):
     """Role of a bond in the strip."""
 

@@ -508,6 +508,21 @@ def _errstate_optimizers(s, grid_points=2001):
         return constrained, best(scored + [(refined, float(h(refined)))])
 
 
+def _replace_sweep(s, param, values):
+    """``stationary_sweep`` as the CLI stated it when it built the scenario
+    of each point with ``replace``; the reference for the field-dict sweep."""
+    roots = []
+    for value in values:
+        if param == "M":
+            if abs(value - round(value)) > 1e-9:
+                raise ValueError(f"M sweep values must be integers, got {value}")
+            varied = replace(s, M=int(round(value)))
+        else:
+            varied = replace(s, **{param: float(value)})
+        roots.append(stationary_closed_form(varied))
+    return roots
+
+
 def _replace_statics(s, param):
     """``comparative_statics`` as the package stated it when it built each
     stepped scenario with ``replace``; the reference for the stepped-field

@@ -183,13 +183,18 @@ def test_statics_delta_matches_library(capsys, scenario_file):
     for row, value in zip(rows, grid):
         c_star = decision.stationary_closed_form(replace(scenario, delta=value))
         assert row == "%.12g,%.12g" % (value, c_star)
+    # a sweep that leaves the domain midway prints no row, only the error the
+    # scenario itself raises at that point
+    with pytest.raises(ValueError) as exc:
+        replace(scenario, delta=1.0)
+    argv[-1] = "0.5:1.5:0.25"
+    assert run_cli(capsys, argv) == (2, "", f"error: {exc.value}\n")
 
 
 def test_statics_rejects_fractional_m(capsys, scenario_file):
     argv = ["statics", "--scenario", scenario_file, "--param", "M", "--range", "2:3:0.5"]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 2
-    assert err.startswith("error:")
+    want = "error: M sweep values must be integers, got 2.5\n"
+    assert run_cli(capsys, argv) == (2, "", want)
 
 
 @pytest.mark.parametrize("bad", ["0:1", "1:0:0.5", "0:1:0", "a:b:c", "0:1:-0.1"])
@@ -341,11 +346,19 @@ def test_lattice_rejects_bad_size(capsys):
 # --- shared CLI behavior ------------------------------------------------
 
 
-def test_missing_scenario_file_is_io_error(capsys, tmp_path):
-    argv = ["optimize", "--scenario", str(tmp_path / "nope.json")]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 1
-    assert err.startswith("io error:")
+def test_missing_scenario_file_is_io_error(capsys, scenario_file, cost_files, tmp_path):
+    # every input file, the cost matrices too, is named as Python's open names it
+    missing = str(tmp_path / "nope")
+    want = f"io error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {missing!r}\n"
+    a, c = cost_files
+    terms = ["--t1", "1", "--t2", "1", "--delta", "0.5"]
+    for argv in (
+        ["optimize", "--scenario", missing],
+        ["statics", "--scenario", missing, "--param", "M", "--range", "2:5:1"],
+        ["cost", "--contributions", missing, "--costs", c, *terms],
+        ["cost", "--contributions", a, "--costs", missing, *terms],
+    ):
+        assert run_cli(capsys, argv) == (1, "", want)
 
 
 def test_unwritable_output_is_io_error(capsys, scenario_file, tmp_path):
@@ -432,6 +445,82 @@ def test_argparse_rejections_exit_2(scenario_file):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+
+# Imports the package, runs cli.main on argv[1:] and prints, as JSON, the
+# package modules loaded after the bare import and after the call, and then
+# the names of the submodules the package resolves as its attributes.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("moebius_csr."))
+import moebius_csr
+bare = loaded()
+from moebius_csr import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+after = loaded()
+names = [getattr(moebius_csr, m).__name__ for m in ("decision", "hamiltonian")]
+print(json.dumps([bare, after, code, names]))
+"""
+
+
+# The package modules each subcommand loads besides the package and its cli.
+SUBCOMMAND_MODULES = {
+    "lattice": {"lattice"},
+    "spectrum": {"lattice", "hamiltonian", "_kernels"},
+    "cost": {"csr_cost", "_kernels", "lattice"},
+    "optimize": {"decision", "lattice"},
+    "statics": {"decision", "lattice"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_its_modules(scenario_file, cost_files, command):
+    a, c = cost_files
+    argv = {
+        "lattice": ["--n", "2", "--m", "1"],
+        "spectrum": ["--n", "2", "--m", "1"],
+        "cost": ["--contributions", a, "--costs", c, "--t1", "1", "--t2", "1",
+                 "--delta", "0.5"],
+        "optimize": ["--scenario", scenario_file],
+        "statics": ["--scenario", scenario_file, "--param", "M", "--range", "2:5:1"],
+    }[command]
+    # a fresh interpreter: this one has loaded every module
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, command, *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    bare, loaded, code, names = json.loads(result.stdout)
+    assert (bare, code, names) == ([], 0, ["moebius_csr.decision", "moebius_csr.hamiltonian"])
+    assert set(loaded) == {f"moebius_csr.{m}" for m in {"cli", *SUBCOMMAND_MODULES[command]}}
+
+
+def test_package_names_are_their_modules_objects():
+    import moebius_csr
+    from moebius_csr import csr_cost, hamiltonian, lattice
+
+    assert moebius_csr.__all__ == [
+        "CostBreakdown", "CsrParams", "total_hcsr",
+        "BetaRegime", "CsrScenario", "DecisionReport", "StationaryKind",
+        "optimize_constrained",
+        "HoppingParams", "assemble", "eigenvalues", "flux_sweep",
+        "Edge", "EdgeKind", "MoebiusLattice", "SiteCoord", "Topology",
+        "build_cylinder", "build_moebius",
+        "__version__",
+    ]
+    modules = {m.__name__: m for m in (csr_cost, decision, hamiltonian, lattice)}
+    for name in moebius_csr.__all__[:-1]:
+        value = getattr(moebius_csr, name)
+        assert value is getattr(modules[value.__module__], name), name
+    namespace = {}
+    exec("from moebius_csr import *", namespace)
+    assert {k: v for k, v in namespace.items() if k != "__builtins__"} == {
+        name: getattr(moebius_csr, name) for name in moebius_csr.__all__
+    }
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        moebius_csr.nope
+    # the scenario-file table has one home, which decision shares
+    assert decision.SCENARIO_KEYS is lattice.SCENARIO_KEYS
+    assert decision.LOYALTY_EXPONENTS is lattice.LOYALTY_EXPONENTS
 
 
 def test_module_entry_point():

@@ -16,6 +16,7 @@ from conftest import (
     _extreme_scenarios,
     _log_uniform,
     _replace_statics,
+    _replace_sweep,
     convex_end_scenarios,
     dhcsr_expanded,
     paper_scenarios,
@@ -26,6 +27,7 @@ from conftest import (
 from moebius_csr.decision import (
     LOYALTY_EXPONENTS,
     SCENARIO_KEYS,
+    STATICS_STEP,
     BetaRegime,
     CsrScenario,
     StationaryKind,
@@ -35,6 +37,7 @@ from moebius_csr.decision import (
     optimize_constrained,
     optimize_oracle,
     stationary_closed_form,
+    stationary_sweep,
     _certified,
     _check_domain,
     _golden_max,
@@ -837,33 +840,16 @@ def test_statics_reference_values(s0, s1):
     assert comparative_statics(s1, "M") > 0
 
 
-def test_statics_m_is_discrete_forward_difference(s0):
-    expected = stationary_closed_form(replace(s0, M=3)) - stationary_closed_form(s0)
-    assert comparative_statics(s0, "M") == expected
-
-
-def test_statics_step_shrinks_once_then_fails(s0):
-    near_edge = replace(s0, delta=0.0075)
-    # full step leaves (0,1); the halved step stays inside
-    value = comparative_statics(near_edge, "delta")
-    assert math.isfinite(value)
-    with pytest.raises(ValueError):
-        comparative_statics(replace(s0, delta=0.004), "delta")
-
-
-def test_statics_past_float_range_raises():
-    # both stepped roots are inf, so every difference would be inf - inf
-    s = CsrScenario(N=1, M=1, a=1e-10, k=1.0, beta=40.0, delta=0.5, p=1e10, w=0.0)
-    for param in ("delta", "beta", "M"):
-        with pytest.raises(ValueError, match=f"^sensitivity to {param} is not finite"):
-            comparative_statics(s, param)
-
-
 def _bits_or_error(f, *args):
+    """``f(*args)`` as the bytes of a float, or as the type and bytes of each
+    float in a list (None kept), or the error's type and text."""
     try:
-        return struct.pack("<d", f(*args))
+        value = f(*args)
     except ValueError as exc:
         return type(exc), str(exc)
+    if isinstance(value, list):
+        return [None if x is None else (type(x), struct.pack("<d", x)) for x in value]
+    return struct.pack("<d", value)
 
 
 def _near(x, width):
@@ -897,8 +883,12 @@ def _near(x, width):
         loyalty_exponent=st.sampled_from([2, 4]),
     ))
 )
+@example(dict(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.1, p=3.0, w=1.0,
+              loyalty_exponent=4))  # s0; M: the forward difference
 @example(dict(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.0075, p=3.0, w=1.0,
-              loyalty_exponent=4))  # delta: the step halves
+              loyalty_exponent=4))  # s0 at delta = 0.0075: the step halves
+@example(dict(N=10, M=2, a=0.5, k=2.0, beta=2.0, delta=0.004, p=3.0, w=1.0,
+              loyalty_exponent=4))  # s0 at delta = 0.004: both steps fail
 @example(dict(N=10, M=2, a=0.5, k=2.0, beta=1.005, delta=0.004, p=3.0, w=1.0,
               loyalty_exponent=4))  # delta and beta: both steps fail
 @example(dict(N=10, M=2, a=0.5, k=2.0, beta=1.008, delta=0.9925, p=3.0, w=1.0,
@@ -915,6 +905,17 @@ def test_statics_equal_replace_reference_property(values):
     for param in ("delta", "beta", "M"):
         got = _bits_or_error(comparative_statics, s, param)
         assert got == _bits_or_error(_replace_statics, s, param), param
+        if isinstance(got, bytes):  # a returned sensitivity is finite
+            assert math.isfinite(struct.unpack("<d", got)[0]), param
+        # the sweep through the stepped points and past them, as NumPy values
+        # like the CLI's grid: the M sweep ends on a non-integer, and any
+        # sweep may leave the domain
+        center = getattr(s, param)
+        sweep = np.array([center + STATICS_STEP * i for i in (0, 1, -1, 0.5, -0.5)])
+        if param == "M":
+            sweep = np.array([center, center + 1, center - 1, center + 0.5])
+        got = _bits_or_error(stationary_sweep, s, param, sweep)
+        assert got == _bits_or_error(_replace_sweep, s, param, sweep), param
 
 
 def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
@@ -922,6 +923,8 @@ def test_statics_rejects_knife_edge_and_bad_param(s0, s2):
         comparative_statics(s2, "delta")  # beta = 1
     with pytest.raises(ValueError):
         comparative_statics(s0, "alpha")
+    with pytest.raises(ValueError, match="^param must be"):
+        stationary_sweep(s0, "alpha", [0.5])
     # stepping beta across 1 is refused rather than silently mixing regimes
     with pytest.raises(ValueError):
         comparative_statics(replace(s0, beta=1.005), "beta")
