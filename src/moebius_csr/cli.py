@@ -107,11 +107,10 @@ def _load_scenario(args):
 
 
 def _strip(args) -> MoebiusLattice:
-    lat = MoebiusLattice(args.n, args.m, args.topology)  # lists no edge yet
-    sites = 2 * lat.N * lat.M
-    if sites > MAX_POINTS:
+    sites = 2 * args.n * args.m
+    if args.n > 0 and args.m > 0 and sites > MAX_POINTS:  # sizes below 1 are the lattice's to name
         raise ValueError(f"--n and --m ask for {sites} sites (limit {MAX_POINTS})")
-    return lat
+    return MoebiusLattice(args.n, args.m, args.topology)  # lists no edge yet
 
 
 def _cmd_lattice(args) -> tuple[str, int]:
@@ -188,10 +187,10 @@ def _cmd_optimize(args) -> tuple[str, int]:
 def _cmd_statics(args) -> tuple[str, int]:
     from . import decision
     scenario = _load_scenario(args)
-    values = _parse_sweep(args.range, "--range").tolist()
-    roots = decision.stationary_sweep(scenario, args.param, values)
+    grid = _parse_sweep(args.range, "--range")
+    roots = decision.stationary_sweep(scenario, args.param, grid)
     lines = ["param_value,c_star"]
-    lines += [f"{_fmt(value)},{_fmt(root)}" for value, root in zip(values, roots)]
+    lines += [f"{_fmt(value)},{_fmt(root)}" for value, root in zip(grid.tolist(), roots)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .lattice import LOYALTY_EXPONENTS, SCENARIO_KEYS, as_real, as_real_array, is_int
+from .lattice import LOYALTY_EXPONENTS, SCENARIO_KEYS, as_choice, as_count, as_real, as_real_array
 
 
 class BetaRegime(enum.Enum):
@@ -41,35 +40,17 @@ class StationaryKind(enum.Enum):
 
 
 STATICS_STEP = 1e-2  # half-width of the central difference in comparative_statics
+STATICS_PARAMS = ("delta", "beta", "M")  # the fields comparative_statics and stationary_sweep vary
 _NO_ERRSTATE = contextlib.nullcontext()  # _objective's error state where H stays finite
 
 
-def _scenario_value(key: str, value, kind: type):
-    """``value`` of scenario-file ``key`` converted to ``kind``; ValueError
-    naming the key unless it is a real number other than a bool and, for
-    an int field, finite and integral (so ``10.0`` loads as 10)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if kind is float:
-                return float(value)
-            if value == math.floor(value):
-                return int(value)
-        except (OverflowError, ValueError):  # past float range, inf or nan
-            pass
-    noun = "an integer" if kind is int else "a number"
-    raise ValueError(f"scenario key {key} must be {noun}, got {value!r}")
-
-
-def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
-    """Raise ValueError naming the first field outside the scenario domain,
-    for ``CsrScenario``, the points of ``stationary_sweep`` and the stepped
-    fields of ``comparative_statics``."""
+def _check_domain(N, M, a, k, beta, delta, p, w) -> None:
+    """Raise ValueError naming the first real field outside the scenario domain,
+    or sizes past float range, for ``CsrScenario`` and ``stationary_sweep``."""
     if not math.isfinite(a + k + beta + delta + p + w):  # finite only if every field is
         for name, value in zip("a k beta delta p w".split(), (a, k, beta, delta, p, w)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-    if N < 1 or M < 1:
-        raise ValueError(f"N and M must be >= 1, got N={N}, M={M}")
     _check_size(N, M)
     if not (0.0 <= a < 1.0):
         raise ValueError(f"a must lie in [0, 1), got {a}")
@@ -81,8 +62,6 @@ def _check_domain(N, M, a, k, beta, delta, p, w, loyalty_exponent) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if p < 0.0 or w < 0.0:
         raise ValueError("p and w must be >= 0")
-    if loyalty_exponent not in LOYALTY_EXPONENTS:
-        raise ValueError(f"loyalty exponent must be 2 or 4, got {loyalty_exponent!r}")
 
 
 def _check_size(N, M) -> None:
@@ -103,7 +82,7 @@ class CsrScenario:
     the cooperation weights, ``delta`` the neighborhood discount, ``p``
     the sale price, ``w`` the wage, and ``loyalty_exponent`` the power of
     ``a`` carried by the half-turn pairing (2 or 4).  Counts take ints or
-    NumPy integers, never bools or floats.
+    NumPy integers, never bools or floats (``as_count``).
     """
 
     N: int
@@ -117,23 +96,24 @@ class CsrScenario:
     loyalty_exponent: int = 4
 
     def __post_init__(self) -> None:
-        # store each field as the type SCENARIO_KEYS names; a value of exactly
-        # that type (the common case, as in ``replace``) skips the conversion
-        for _, name, kind in SCENARIO_KEYS:
+        # a real given as a float (the common case, as in ``replace``) skips as_real
+        for name in ("a", "k", "beta", "delta", "p", "w"):
             value = getattr(self, name)
-            if type(value) is not kind:
-                if kind is int and not is_int(value):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                value = int(value) if kind is int else as_real(name, value)
+            if type(value) is not float:
+                object.__setattr__(self, name, as_real(name, value))
+        N, M = as_count("N", self.N, 1, math.inf), as_count("M", self.M, 1, math.inf)
+        lam = as_choice("loyalty_exponent", self.loyalty_exponent, LOYALTY_EXPONENTS)
+        if N is not self.N or M is not self.M or lam is not self.loyalty_exponent:
+            for name, value in (("N", N), ("M", M), ("loyalty_exponent", lam)):  # NumPy ints
                 object.__setattr__(self, name, value)
-        _check_domain(self.N, self.M, self.a, self.k, self.beta, self.delta,
-                      self.p, self.w, self.loyalty_exponent)
+        _check_domain(N, M, self.a, self.k, self.beta, self.delta, self.p, self.w)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CsrScenario":
         """Build from a scenario-file mapping keyed as in ``SCENARIO_KEYS``,
-        each value converted by ``_scenario_value``; an unknown or missing
-        key raises ValueError."""
+        each value read by its field's rule; JSON has one number type, so an
+        int field takes an integral float (``10.0`` loads as 10).  An
+        unknown or missing key raises ValueError."""
         unknown = sorted(set(data) - {key for key, _, _ in SCENARIO_KEYS})
         if unknown:
             raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
@@ -145,13 +125,10 @@ class CsrScenario:
         )
         if missing:
             raise ValueError(f"missing scenario keys: {', '.join(missing)}")
-        return cls(
-            **{
-                name: _scenario_value(key, data[key], kind)
-                for key, name, kind in SCENARIO_KEYS
-                if key in data
-            }
-        )
+        return cls(**{
+            name: int(v) if kind is int and isinstance(v, float) and v.is_integer() else v
+            for key, name, kind in SCENARIO_KEYS if key in data for v in [data[key]]
+        })
 
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for key, name, _ in SCENARIO_KEYS}
@@ -278,20 +255,28 @@ def stationary_closed_form(scenario: CsrScenario) -> float | None:
 
 def stationary_sweep(scenario: CsrScenario, param: str, values) -> list[float | None]:
     """``stationary_closed_form`` of ``scenario`` with field ``param`` (delta,
-    beta or M) set to each of ``values`` in turn, each point checked by
-    ``_check_domain`` on the fields, with no scenario built.  The first value
-    outside the domain, or an M over 1e-9 from an integer, raises ValueError."""
-    if param not in ("delta", "beta", "M"):
-        raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")
-    f = {name: getattr(scenario, name) for _, name, _ in SCENARIO_KEYS}
+    beta or M) set to each of ``values`` (1-D; an M a count, kept exact, or an
+    integral float) in turn, each point checked by ``_check_domain`` on the
+    fields, with no scenario built.  The first value outside the domain raises."""
+    param = as_choice("param", param, STATICS_PARAMS)
+    grid = as_real_array(f"{param} values", values)
+    if grid.ndim != 1:
+        raise ValueError(f"{param} values must be 1-D, got shape {grid.shape}")
+    # an M as given, so that an int stays exact
+    points = (np.asarray(values, dtype=object) if param == "M" else grid).tolist()
+    N, M, a, k, beta, delta, p, w, lam = (getattr(scenario, name) for _, name, _ in SCENARIO_KEYS)
     roots = []
-    for value in values:
-        if param == "M" and abs(value - round(value)) > 1e-9:
+    for value in points:
+        if param == "delta":
+            delta = value
+        elif param == "beta":
+            beta = value
+        elif isinstance(value, float) and not value.is_integer():
             raise ValueError(f"M sweep values must be integers, got {value}")
-        f[param] = int(round(value)) if param == "M" else float(value)
-        _check_domain(**f)
-        roots.append(_root(f["M"], f["a"], f["k"], f["beta"], f["delta"],
-                           f["loyalty_exponent"]))
+        else:
+            M = as_count("M", int(value) if isinstance(value, float) else value, 1, math.inf)
+        _check_domain(N, M, a, k, beta, delta, p, w)
+        roots.append(_root(M, a, k, beta, delta, lam))
     return roots
 
 
@@ -406,8 +391,7 @@ def optimize_oracle(
     prove the answer from the two budget ends or the grid's peak from six
     of its points; elsewhere the whole grid is scored and refined."""
     s = scenario
-    if not is_int(grid_points) or grid_points < 3:
-        raise ValueError(f"grid_points must be an integer >= 3, got {grid_points!r}")
+    grid_points = as_count("grid_points", grid_points, 3, 2**50 - 1)  # _certified's normal range
     budget = s.p - s.w
     if budget <= 0.0 or s.a == 0.0:
         return 0.0, 0.0  # H(0) = 0
@@ -494,8 +478,7 @@ def _certified(s: CsrScenario, nb, slope, budget: float, last: int):
     powers = np.power(outlays, beta).tolist()  # as _h has them
     p1, pb = powers[0], powers[1]
     t1, gb, lb = p1 * k * a * a, pb * k * a * a * nb, slope * budget
-    if (last >= 2**50 or pb >= 2.0**1020
-            or min(step * a, p1, t1, t1 * nb, slope * step) < 2.0**-1020):
+    if pb >= 2.0**1020 or min(step * a, p1, t1, t1 * nb, slope * step) < 2.0**-1020:
         return None
     eta, hb = (beta + 2.0**10) * 2.0**-52, gb - lb
     if beta >= 1.0:
@@ -526,6 +509,7 @@ def comparative_statics(scenario: CsrScenario, param: str) -> float:
     sensitivity is the forward difference ``c*(M+1) - c*(M)``.  A
     difference that is not finite (a root past float range) raises ValueError.
     """
+    param = as_choice("param", param, STATICS_PARAMS)
     s = scenario
     if s.beta == 1.0 or s.a == 0.0:
         raise ValueError("sensitivity needs a stationary point (beta != 1, a > 0)")
@@ -533,7 +517,7 @@ def comparative_statics(scenario: CsrScenario, param: str) -> float:
     if param == "M":
         _check_size(s.N, M + 1)
         diff = _root(M + 1, a, k, beta, delta, lam) - _root(M, a, k, beta, delta, lam)
-    elif param in ("delta", "beta"):
+    else:
         center = getattr(s, param)
         for h in (STATICS_STEP, STATICS_STEP / 2.0):
             hi, lo = center + h, center - h
@@ -552,8 +536,6 @@ def comparative_statics(scenario: CsrScenario, param: str) -> float:
                 f"cannot step {param} by {STATICS_STEP} (or half) "
                 "without leaving the domain"
             )
-    else:
-        raise ValueError(f"param must be 'delta', 'beta' or 'M', got {param!r}")
     if not math.isfinite(diff):
         raise ValueError(f"sensitivity to {param} is not finite (root past float range)")
     return diff

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import hermitian_eigvals, tridiagonal_eigvals
-from .lattice import EdgeKind, MoebiusLattice, Topology, as_real, as_real_array, is_int
+from .lattice import EdgeKind, MoebiusLattice, Topology, as_count, as_real, as_real_array
 
 # most bytes one block of flux_sweep holds: its levels on the Bloch path,
 # its matrices on the dense path
@@ -136,10 +136,11 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     entry).  Input with a nonzero imaginary part is solved as complex
     Hermitian, anything else as real symmetric.
     """
-    # a list upcasts a bool before a dtype test sees it, as in as_real_array
-    if not isinstance(h, np.ndarray) and any(
-            isinstance(x, (bool, np.bool_)) for x in np.asarray(h, dtype=object).flat):
-        raise ValueError("expected a real or complex matrix, got dtype bool")
+    # a list upcasts a bool, or takes a ragged row, before a dtype test sees it
+    if not isinstance(h, np.ndarray):
+        for x in np.asarray(h, dtype=object).flat:
+            if isinstance(x, bool) or not isinstance(x, (int, float, complex, np.number)):
+                raise ValueError(f"expected a real or complex matrix, got entry {x!r}")
     h = np.asarray(h)
     if h.dtype.kind not in "iufc":
         raise ValueError(f"expected a real or complex matrix, got dtype {h.dtype}")
@@ -156,15 +157,6 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     return hermitian_eigvals(a[None])[0]
 
 
-def _check_filling(n_electrons, n_levels: int) -> None:
-    if not is_int(n_electrons):
-        raise ValueError(f"n_electrons must be an integer, got {n_electrons!r}")
-    if not (0 <= n_electrons <= n_levels):
-        raise ValueError(
-            f"n_electrons must be in 0..{n_levels}, got {n_electrons}"
-        )
-
-
 def _filled_sums(levels: np.ndarray, n_electrons: int, check: bool) -> np.ndarray:
     """Sum of the lowest ``n_electrons`` levels of each row of ``levels``, sorted in place.
 
@@ -175,7 +167,7 @@ def _filled_sums(levels: np.ndarray, n_electrons: int, check: bool) -> np.ndarra
     # sorting puts -inf first and inf, then NaN, last
     if check and levels.size and not np.isfinite(levels[:, [0, -1]]).all():
         raise ValueError("eigenvalues must be finite (got NaN, or inf past float range)")
-    return np.add.reduce(levels[:, : int(n_electrons)], axis=1)
+    return np.add.reduce(levels[:, :n_electrons], axis=1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -238,7 +230,7 @@ def flux_sweep(
         raise ValueError(f"flux grid must be 1-D and nonempty, got shape {grid.shape}")
     _check_flux(grid.item(np.abs(grid).argmax()))  # argmax finds a nan first
     eps = _validated_epsilon(lattice, params)
-    _check_filling(n_electrons, lattice.n_sites)
+    n_electrons = as_count("n_electrons", n_electrons, 0, lattice.n_sites)
 
     # Every level and entry lies within 2|t1| + 2|t2| + max|eps| (Gershgorin) up to
     # a relative rounding error far below 1 (the dense solver's is d*2**-53), and a
@@ -247,7 +239,7 @@ def flux_sweep(
     # dense solver and the last check name a level, an entry or a sum past range.
     bound = 2.0 * (abs(float(params.t1)) + abs(float(params.t2)))
     bound += 0.0 if eps is None else float(np.abs(eps).max())
-    proven = (int(n_electrons) + 1) * bound < 2.0**1021
+    proven = (n_electrons + 1) * bound < 2.0**1021
     with contextlib.nullcontext() if proven else np.errstate(over="ignore", invalid="ignore"):
         bloch = eps is None or np.all(eps == eps[0])
         if bloch:

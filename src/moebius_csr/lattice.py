@@ -14,6 +14,11 @@ all longitudinal bonds (by wire, then position), then all transverse bonds
 ``N = 1`` a ring has only two sites and the two longitudinal bonds of a
 wire connect the same pair; both are kept, so every site still has exactly
 two longitudinal bond endpoints.
+
+Every public entry reads each argument of these kinds through one rule here,
+which refuses any other value with a ValueError naming the argument: a real
+scalar (:func:`as_real`), a count within bounds (:func:`as_count`), a real
+array (:func:`as_real_array`) and a choice from a tuple (:func:`as_choice`).
 """
 
 from __future__ import annotations
@@ -29,17 +34,22 @@ from typing import NamedTuple
 import numpy as np
 
 
-def is_int(value) -> bool:
-    """The package's rule for a count (a strip size, a filling): an int or a
-    NumPy integer, never a bool."""
-    # int listed first skips the slower abstract-class check in the common case
-    return not isinstance(value, bool) and isinstance(value, (int, numbers.Integral))
+def as_count(name: str, value, lo, hi) -> int:
+    """``value`` as an int in ``lo..hi`` (``hi`` may be ``inf``); ValueError naming
+    ``name`` unless it is an int or a NumPy integer, never a bool, in that range."""
+    # int tested first skips the slower abstract-class check in the common case
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)
 
 
 def as_real(name: str, value) -> float:
     """``value`` as a float (``inf`` for an int past float range); ValueError
     naming ``name`` unless it is a real number other than a bool."""
-    # float and int listed first skip the slower abstract-class check, as in is_int
+    # float and int listed first skip the slower abstract-class check, as in as_count
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -58,6 +68,21 @@ def as_real_array(name: str, value) -> np.ndarray:
     if value.dtype.kind not in "iuf":  # bool, complex, str
         raise ValueError(f"{name} must hold real numbers, got dtype {value.dtype}")
     return value.astype(np.float64, copy=False)
+
+
+def as_choice(name: str, value, choices):
+    """The entry of ``choices`` equal to ``value`` and of its type (an enum
+    member also by its value, a NumPy scalar as its Python one); ValueError
+    naming ``name`` otherwise."""
+    for choice in choices:  # the common case: the entry itself
+        if value is choice:
+            return choice
+    key = value.item() if isinstance(value, np.generic) else value
+    targets = [getattr(choice, "value", choice) for choice in choices]
+    for choice, target in zip(choices, targets):
+        if type(key) is type(target) and key == target:
+            return choice
+    raise ValueError(f"{name} must be one of {', '.join(map(repr, targets))}, got {value!r}")
 
 
 # Each scenario-file key, the CsrScenario field it sets and that field's type;
@@ -84,6 +109,9 @@ class Topology(enum.Enum):
     CYLINDER = "cylinder"
 
 
+_TOPOLOGIES = tuple(Topology)  # as_choice's entries; iterating the enum class is slow
+
+
 class SiteCoord(NamedTuple):
     """1-based site label: position ``n`` along the wire, wire index ``m``."""
 
@@ -107,14 +135,12 @@ class MoebiusLattice:
     topology: Topology
 
     def __post_init__(self):
-        if not (is_int(self.N) and is_int(self.M)):
-            raise ValueError("N and M must be integers")
-        N, M = int(self.N), int(self.M)
-        if N < 1 or M < 1:
-            raise ValueError(f"need N >= 1 and M >= 1, got N={N}, M={M}")
+        N, M = as_count("N", self.N, 1, math.inf), as_count("M", self.M, 1, math.inf)
+        if N * M >= 2**62:  # site indices and momenta run to 2NM, in int64
+            raise ValueError(f"N and M too large: 2*N*M must be below 2**63, got N={N}, M={M}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "topology", Topology(self.topology))
+        object.__setattr__(self, "topology", as_choice("topology", self.topology, _TOPOLOGIES))
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:

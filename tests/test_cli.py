@@ -390,7 +390,7 @@ def test_non_integral_size_is_domain_error(capsys, tmp_path):
         )
         code, out, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
         assert (code, out) == (2, "")
-        assert err == f"error: scenario key N must be an integer, got {float(text)}\n"
+        assert err == f"error: N must be an integer, got {float(text)}\n"
 
 
 def test_size_past_float_range_is_domain_error(capsys, tmp_path):

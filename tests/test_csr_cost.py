@@ -236,31 +236,11 @@ def test_validation_errors():
         (good, np.full((2, 2), -1.0), r"^cost entries must be >= 0$"),
         (good, np.full((2, 0), 1.0), r"^cost matrix needs at least one column$"),
         (good, np.array([[np.nan, 0.0], [0.0, 0.0]]), r"^cost matrix must be finite$"),
-        # complex and bool entries were taken as their real parts, or as 1.0
-        (np.full((2, 2), 0.5 + 0.3j), good,
-         r"^contribution matrix must hold real numbers, got dtype complex128$"),
-        ([[0.5, 0.5], [0.5, 0.5 + 0.3j]], good,
-         r"^contribution matrix entry must be a real number, got \(0\.5\+0\.3j\)$"),
-        (good, np.full((2, 2), True), r"^cost matrix must hold real numbers, got dtype bool$"),
-        (good, [[1.0, True], [0.0, 0.0]], r"^cost matrix entry must be a real number, got True$"),
     ):
         with pytest.raises(ValueError, match=message):
             total_hcsr(a, c, params)
     with pytest.raises(ValueError):
         total_hcsr(good, np.zeros((4, 2)), params)  # shape mismatch
-    for bad in (
-        dict(t1=-1.0, t2=1.0, delta=0.5),
-        dict(t1=1.0, t2=-0.1, delta=0.5),
-        dict(t1=1.0, t2=1.0, delta=0.0),
-        dict(t1=1.0, t2=1.0, delta=1.0),
-        dict(t1=np.inf, t2=1.0, delta=0.5),
-    ):
-        with pytest.raises(ValueError):
-            CsrParams(**bad)
-    # a weight that is not a real number, or is a bool, is refused by name
-    for name, bad in (("t1", "1"), ("t1", None), ("t1", True), ("delta", "0.5")):
-        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
-            CsrParams(**{**dict(t1=1.0, t2=1.0, delta=0.5), name: bad})
     # each weight is stored as a float, so the sums run in float64
     narrow = CsrParams(t1=np.float32(2.1), t2=np.float32(0.7), delta=np.float32(0.3))
     wide = CsrParams(*(float(np.float32(x)) for x in (2.1, 0.7, 0.3)))

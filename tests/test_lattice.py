@@ -123,8 +123,8 @@ def test_build_rejects_bad_sizes():
             build_moebius(*bad)
         with pytest.raises(ValueError):
             build_cylinder(*bad)
-    for bad in [(1.5, 2), (True, True), (2, False), ("2", 2)]:
-        with pytest.raises(ValueError, match="integers"):
+    for bad, name in [((1.5, 2), "N"), ((True, True), "N"), ((2, False), "M"), (("2", 2), "N")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             build_moebius(*bad)
     # NumPy integers are sizes, as in CsrScenario, and are stored as int
     lat = build_moebius(np.int64(2), np.int32(2))
@@ -149,10 +149,15 @@ def test_lattice_is_its_three_numbers():
     assert "edges" not in vars(lat)
     assert lat.edges is lat.edges and vars(lat)["edges"] == build_cylinder(3, 2).edges
     for bad, message in [
-        ((0, 2, Topology.MOEBIUS), "need N >= 1 and M >= 1, got N=0, M=2"),
-        ((True, 2, Topology.MOEBIUS), "N and M must be integers"),
-        ((2, 2.0, Topology.MOEBIUS), "N and M must be integers"),
-        ((2, 2, "twisted"), "'twisted' is not a valid Topology"),
+        ((0, 2, Topology.MOEBIUS), "N must be >= 1, got 0"),
+        ((2, 2.0, Topology.MOEBIUS), "M must be an integer, got 2.0"),
+        ((2, 2, "twisted"), "topology must be one of 'moebius', 'cylinder', got 'twisted'"),
+        # np.arange(2N) of a 2**62 strip is empty: its flux sweep summed no level
+        # and gave the energy 0.0
+        ((2**62, 1, "moebius"), "N and M too large: 2*N*M must be below 2**63, "
+                                f"got N={2**62}, M=1"),
+        ((2**61, 3, "cylinder"), "N and M too large: 2*N*M must be below 2**63, "
+                                 f"got N={2**61}, M=3"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MoebiusLattice(*bad)
