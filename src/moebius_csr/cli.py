@@ -9,7 +9,10 @@ sweep).  Each subcommand returns its report text and exit code, and
 printed with 12 significant digits and files are written atomically
 (temp file in the target directory, then rename), so identical inputs
 produce byte-identical outputs.  Each subcommand imports the package
-modules it runs when it runs, so a call loads no module it does not use.
+modules it runs when it runs (and ``json``, if it reads or writes a
+scenario), so a call loads no module it does not use.  ``moebius-csr``,
+``python -m moebius_csr`` and this module run as a script all start the
+process through :func:`run`.
 
 Exit codes: 0 success, 1 file I/O failure, 2 invalid arguments or domain
 error, 3 infeasible scenario (the margin constraint fails, i.e. p < w
@@ -19,7 +22,7 @@ with a nonzero contribution level).
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import os
 import sys
@@ -92,6 +95,7 @@ def _parse_sweep(text: str, flag: str) -> np.ndarray:
 
 
 def _load_scenario(args):
+    import json
     from . import decision
     with open(args.scenario, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -161,6 +165,7 @@ def _cmd_optimize(args) -> tuple[str, int]:
             f"--oracle-points asks for {args.oracle_points} points (limit {MAX_POINTS})")
     scenario = _load_scenario(args)
     if args.dump_config is not None:
+        import json
         dump = json.dumps(scenario.to_dict(), sort_keys=True, indent=2) + "\n"
         _write_text(args.dump_config, dump)
     report = decision.optimize_constrained(scenario)
@@ -312,5 +317,17 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry: exit with :func:`main`'s code (or argparse's own
+    exit), first freezing every object still alive (``gc.freeze``) so that
+    the interpreter's collections at exit skip them; most are NumPy's.  A
+    process that goes on calls :func:`main`: a frozen object is never
+    collected."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

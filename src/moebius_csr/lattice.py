@@ -34,15 +34,29 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message; an int too long for the
+    interpreter to print (``sys.get_int_max_str_digits``) by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:  # the int-to-string limit, met by the int or inside value
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding an int too long to print"
+        size = abs(value)
+        digits = int(size.bit_length() * math.log10(2)) + 1  # this or one too many
+        digits -= size < 10 ** (digits - 1)
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def as_count(name: str, value, lo, hi) -> int:
     """``value`` as an int in ``lo..hi`` (``hi`` may be ``inf``); ValueError naming
     ``name`` unless it is an int or a NumPy integer, never a bool, in that range."""
     # int tested first skips the slower abstract-class check in the common case
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if not lo <= value <= hi:
         bounds = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
+        raise ValueError(f"{name} must be {bounds}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -51,7 +65,7 @@ def as_real(name: str, value) -> float:
     naming ``name`` unless it is a real number other than a bool."""
     # float and int listed first skip the slower abstract-class check, as in as_count
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:  # an int past float range
@@ -78,11 +92,12 @@ def as_choice(name: str, value, choices):
         if value is choice:
             return choice
     key = value.item() if isinstance(value, np.generic) else value
-    targets = [getattr(choice, "value", choice) for choice in choices]
-    for choice, target in zip(choices, targets):
+    for choice in choices:  # stops at the first match: enum's .value is slow
+        target = getattr(choice, "value", choice)
         if type(key) is type(target) and key == target:
             return choice
-    raise ValueError(f"{name} must be one of {', '.join(map(repr, targets))}, got {value!r}")
+    targets = ", ".join(repr(getattr(choice, "value", choice)) for choice in choices)
+    raise ValueError(f"{name} must be one of {targets}, got {_shown(value)}")
 
 
 # Each scenario-file key, the CsrScenario field it sets and that field's type;
@@ -136,8 +151,9 @@ class MoebiusLattice:
 
     def __post_init__(self):
         N, M = as_count("N", self.N, 1, math.inf), as_count("M", self.M, 1, math.inf)
-        if N * M >= 2**62:  # site indices and momenta run to 2NM, in int64
-            raise ValueError(f"N and M too large: 2*N*M must be below 2**63, got N={N}, M={M}")
+        if N * M >= 2**59:  # a float64 per site, 8*2*N*M bytes, fits an int64 byte count
+            raise ValueError("N and M too large: a float64 array of the 2*N*M sites must "
+                             f"be below 2**63 bytes, got N={_shown(N)}, M={_shown(M)}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "topology", as_choice("topology", self.topology, _TOPOLOGIES))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,10 +449,11 @@ def test_argparse_rejections_exit_2(scenario_file):
 
 
 # Imports the package, runs cli.main on argv[1:] and prints, as JSON, the
-# package modules loaded after the bare import and after the call, and then
-# the names of the submodules the package resolves as its attributes.
+# package modules loaded after the bare import and after the call, whether
+# the call loaded json, and then the names of the submodules the package
+# resolves as its attributes.
 IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("moebius_csr."))
 import moebius_csr
 bare = loaded()
@@ -459,8 +461,10 @@ from moebius_csr import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 after = loaded()
+has_json = "json" in sys.modules  # read before this script loads it
 names = [getattr(moebius_csr, m).__name__ for m in ("decision", "hamiltonian")]
-print(json.dumps([bare, after, code, names]))
+import json
+print(json.dumps([bare, after, has_json, code, names]))
 """
 
 
@@ -489,9 +493,10 @@ def test_each_subcommand_loads_only_its_modules(scenario_file, cost_files, comma
     result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, command, *argv],
                             capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stderr) == (0, "")
-    bare, loaded, code, names = json.loads(result.stdout)
+    bare, loaded, has_json, code, names = json.loads(result.stdout)
     assert (bare, code, names) == ([], 0, ["moebius_csr.decision", "moebius_csr.hamiltonian"])
     assert set(loaded) == {f"moebius_csr.{m}" for m in {"cli", *SUBCOMMAND_MODULES[command]}}
+    assert has_json == (command in ("optimize", "statics"))  # only they read a scenario
 
 
 def test_package_names_are_their_modules_objects():
@@ -523,12 +528,50 @@ def test_package_names_are_their_modules_objects():
     assert decision.LOYALTY_EXPONENTS is lattice.LOYALTY_EXPONENTS
 
 
-def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "moebius_csr", "lattice", "--n", "2", "--m", "1"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0
-    assert result.stdout.startswith("kind,n1,m1,n2,m2")
+# Runs ``python -m moebius_csr`` on argv[2:] as the interpreter does, through
+# runpy, and at exit writes the count of frozen objects to the file argv[1].
+ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+path = sys.argv.pop(1)
+def record():
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(str(gc.get_freeze_count()))
+atexit.register(record)
+runpy.run_module("moebius_csr", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_module_entry_point(capsys, monkeypatch, scenario_file, cost_files, tmp_path):
+    a, c = cost_files
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+    cases = [
+        ["lattice", "--n", "1", "--m", "2"],
+        ["spectrum", "--n", "2", "--m", "2", "--t1", "1", "--t2", "0.5",
+         "--flux-sweep", "0:2:0.5"],
+        ["cost", "--contributions", a, "--costs", c, "--t1", "2", "--t2", "1",
+         "--delta", "0.5"],
+        ["optimize", "--scenario", scenario_file, "--beta", "0.5", "--csv"],
+        ["statics", "--scenario", scenario_file, "--param", "beta", "--range", "0.5:1.5:0.5"],
+        ["lattice", "--n", "0", "--m", "1"],  # domain error
+        ["optimize", "--scenario", scenario_file, "--p", "1", "--w", "3"],  # infeasible
+        ["lattice", "--n", "2", "--m", "1", "--nope"],  # argparse rejection
+        ["--help"],
+    ]
+    codes = []
+    for argv in cases:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exits
+            code = exc.code
+        expected = (code, *capsys.readouterr())
+        frozen = tmp_path / "frozen.txt"
+        result = subprocess.run([sys.executable, "-c", ENTRY_PROBE, str(frozen), *argv],
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == expected, argv
+        assert int(frozen.read_text(encoding="utf-8")) > 0, argv
+        codes.append(code)
+    assert codes == [0] * 5 + [2, 3, 2, 0]
+    # the installed script runs the same entry
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n")[1].split("\n[")[0]
+    assert scripts.strip() == 'moebius-csr = "moebius_csr.cli:run"'

@@ -18,9 +18,10 @@ import moebius_csr
 from moebius_csr import csr_cost, decision, hamiltonian, lattice
 from moebius_csr.hamiltonian import HoppingParams
 
-# a value of each wrong kind; the 0-d array and the nested list hold a float
-BAD = (True, np.True_, "2", b"2", 2 + 0j, None, np.array(2.0), [[2.0]], 10**400)
-ZERO_D, NESTED, HUGE = BAD[6:]
+# a value of each wrong kind; the 0-d array and the nested list hold a float;
+# the last int is past the interpreter's int-to-string limit
+BAD = (True, np.True_, "2", b"2", 2 + 0j, None, np.array(2.0), [[2.0]], 10**400, 10**5000)
+ZERO_D, NESTED = BAD[6:8]
 FIELDS = dict(N=10, M=2, a=0.5, k=2.0, beta=0.5, delta=0.1, p=3.0, w=1.0)
 S = decision.CsrScenario(**FIELDS)
 KNIFE_EDGE = decision.CsrScenario(**{**FIELDS, "beta": 1.0})  # no param is valid here

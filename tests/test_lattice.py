@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import incidences
+from moebius_csr.hamiltonian import HoppingParams, flux_sweep
 from moebius_csr.lattice import (
     Edge,
     EdgeKind,
@@ -14,6 +15,8 @@ from moebius_csr.lattice import (
     build_cylinder,
     build_moebius,
 )
+
+TOO_LARGE = "N and M too large: a float64 array of the 2*N*M sites must be below 2**63 bytes, "
 
 
 def two_colorable(lat) -> bool:
@@ -154,13 +157,26 @@ def test_lattice_is_its_three_numbers():
         ((2, 2, "twisted"), "topology must be one of 'moebius', 'cylinder', got 'twisted'"),
         # np.arange(2N) of a 2**62 strip is empty: its flux sweep summed no level
         # and gave the energy 0.0
-        ((2**62, 1, "moebius"), "N and M too large: 2*N*M must be below 2**63, "
-                                f"got N={2**62}, M=1"),
-        ((2**61, 3, "cylinder"), "N and M too large: 2*N*M must be below 2**63, "
-                                 f"got N={2**61}, M=3"),
+        ((2**62, 1, "moebius"), f"{TOO_LARGE}got N={2**62}, M=1"),
+        ((2**59, 1, "moebius"), f"{TOO_LARGE}got N={2**59}, M=1"),
+        ((2**57, 5, "cylinder"), f"{TOO_LARGE}got N={2**57}, M=5"),
+        # an int past the interpreter's int-to-string limit reads by its digit count
+        ((10**5000, 1, "moebius"), f"{TOO_LARGE}got N=an integer of 5001 digits, M=1"),
+        ((10**5000 - 1, 1, "moebius"), f"{TOO_LARGE}got N=an integer of 5000 digits, M=1"),
+        ((1, -(10**5000), "moebius"), "M must be >= 1, got a negative integer of 5001 digits"),
+        ((1, 1, [10**5000]), "topology must be one of 'moebius', 'cylinder', "
+                             "got a list holding an int too long to print"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MoebiusLattice(*bad)
+    # the largest strip whose sites a float64 array can hold, in bytes below 2**63
+    assert MoebiusLattice(2**59 - 1, 1, "moebius").n_sites * 8 < 2**63
+
+
+def test_too_large_strip_is_refused_before_a_sweep():
+    # the sweep's momentum table of this strip was NumPy's "array is too big"
+    with pytest.raises(ValueError, match=f"^{re.escape(TOO_LARGE)}got N={2**61}, M=1$"):
+        flux_sweep(MoebiusLattice(2**61, 1, "moebius"), HoppingParams(1.0, 0.5), [0.0], 2)
 
 
 def test_site_validation():
